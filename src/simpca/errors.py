@@ -125,6 +125,17 @@ class MissingValue(DataError):
         )
 
 
+class EmptyInput(DataError):
+    def __init__(self):
+        super().__init__("input file needs a header row and at least one data row")
+
+
+class RaggedRow(DataError):
+    def __init__(self, row, cells, expected):
+        self.row, self.cells, self.expected = row, cells, expected
+        super().__init__(f"row {row} has {cells} cells but the header has {expected}")
+
+
 class NotConverged(NumericalError):
     def __init__(self, what, iterations):
         self.what, self.iterations = what, iterations

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import core, pca, sparse
-from .errors import MissingColumn, MissingValue, NonNumericCell
+from .errors import EmptyInput, MissingColumn, MissingValue, NonNumericCell, RaggedRow
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "?", "."}
 
@@ -24,15 +24,19 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
 
     Returns (column_names, values, ids, response). The id column (row
     labels) and the response column are excluded from the feature matrix.
-    Rows with missing cells are rejected; imputation is not supported.
+    Rows with missing cells are rejected; imputation is not supported. A
+    file without data rows, or with a row whose cell count differs from the
+    header's, is rejected too.
     """
     with open(path, newline="") as fh:
         sample = fh.read(4096)
         fh.seek(0)
         if delimiter is None:
-            delimiter = "\t" if "\t" in sample.splitlines()[0] else ","
+            delimiter = "\t" if "\t" in sample.partition("\n")[0] else ","
         reader = csv.reader(fh, delimiter=delimiter)
         rows = [row for row in reader if row]
+    if len(rows) < 2:
+        raise EmptyInput()
     header = [h.strip() for h in rows[0]]
     drop = []
     for name in (id_column, response_column):
@@ -47,6 +51,8 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
     response = []
     data = []
     for r, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise RaggedRow(r, len(row), len(header))
         if id_column is not None:
             ids.append(row[header.index(id_column)].strip())
         parsed = []

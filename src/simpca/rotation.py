@@ -4,8 +4,9 @@ and Orthomax criterion families.
 The optimizer is a cyclic sequence of pairwise (Jacobi-style) plane
 rotations. Restricted to one plane, the CF criterion is exactly
 ``c0 + c3*cos(4*theta) + c4*sin(4*theta)`` (terms involving the untouched
-columns are invariant), so each plane angle is solved in closed form from
-three criterion evaluations. Every plane step is a global minimizer of its
+columns are invariant), and c3, c4 are closed-form fourth-order moments of
+the plane's two columns, which generalizes Kaiser's varimax pair angle to
+the CF family (Browne 2001). Every plane step is a global minimizer of its
 plane, which makes the sweep trace monotone.
 
 Orthogonal CF minimization at kappa is equivalent to maximizing the
@@ -16,10 +17,12 @@ signs (the printed form, convenient for identities on matrices with equal
 column norms); the optimizer always works with the CF form.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_finite
 from .errors import ZeroRow
 
 
@@ -98,39 +101,38 @@ def orthomax_value(b, c):
 def _plane_angle(u, v, kappa):
     """Angle minimizing the CF criterion over a rotation of columns (u, v).
 
-    Uses the exact harmonic form of the plane-restricted criterion:
-    three evaluations determine c0, c3, c4 of
-    g(theta) = c0 + c3 cos(4 theta) + c4 sin(4 theta).
+    With z = u + iv and w = z^2 = (u^2 - v^2) + 2iuv, rotating by theta maps
+    z to z e^{-i theta}, and the plane-restricted criterion is
+    g(theta) = const + Re(e^{-4i theta} W) / 4 with
+    W = kappa (sum w)^2 - sum w^2. Its minimizer is arg(-W) / 4 (0 when the
+    criterion is flat in the plane, W = 0).
     """
-
-    def g(theta):
-        ct, st = np.cos(theta), np.sin(theta)
-        return cf_value(np.column_stack([u * ct + v * st, -u * st + v * ct]), kappa)
-
-    g0 = g(0.0)
-    g1 = g(np.pi / 8)
-    g2 = g(-np.pi / 8)
-    c0 = 0.5 * (g1 + g2)
-    c4 = 0.5 * (g1 - g2)
-    c3 = g0 - c0
-    if np.hypot(c3, c4) == 0.0:
+    w = (u + 1j * v) ** 2
+    s = complex(w.sum())
+    big_w = kappa * s * s - complex(w @ w)
+    if big_w == 0.0:
         return 0.0
-    theta = np.arctan2(-c4, -c3) / 4.0
-    return theta
+    return math.atan2(-big_w.imag, -big_w.real) / 4.0
 
 
 def _sweep(b, o, kappa):
-    """One full cycle of pairwise plane rotations, in place."""
-    d = b.shape[1]
+    """One full cycle of pairwise plane rotations, in place.
+
+    b' and o' are held as one contiguous d x (p + d) row block, so a plane
+    (j, k) reads two rows and rotates both with a single 2 x 2 product.
+    """
+    p, d = b.shape
+    rows = np.hstack([b.T, o.T])
     for j in range(d - 1):
         for k in range(j + 1, d):
-            theta = _plane_angle(b[:, j], b[:, k], kappa)
+            theta = _plane_angle(rows[j, :p], rows[k, :p], kappa)
             if theta == 0.0:
                 continue
-            ct, st = np.cos(theta), np.sin(theta)
-            rot = np.array([[ct, -st], [st, ct]])
-            b[:, [j, k]] = b[:, [j, k]] @ rot
-            o[:, [j, k]] = o[:, [j, k]] @ rot
+            ct, st = math.cos(theta), math.sin(theta)
+            pair = rows[j : k + 1 : k - j]  # view of rows j and k
+            pair[...] = np.array([[ct, st], [-st, ct]]) @ pair
+    b[...] = rows[:, :p].T
+    o[...] = rows[:, p:].T
 
 
 def _trace_value(b, criterion, kappa):
@@ -155,10 +157,12 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     scaled back afterwards (the rescaling commutes with the right-side
     rotation, so b = a @ o still holds for the original a). Extra restarts
     start from random orthogonal matrices; the best final criterion wins,
-    ties broken by restart index.
+    ties broken by restart index. A NaN or infinite entry raises
+    ``NonFiniteInput``.
     """
     a = np.asarray(a, float)
     p, d = a.shape
+    _check_finite(a)
     if d < 2:
         raise ValueError("need at least 2 columns to rotate")
     if p < d:

@@ -52,7 +52,7 @@ class SimpcaPipelineConfig:
     nd: int
     nr: int
     strategy: selection.SelectionStrategy
-    criterion: rotation.RotationCriterion = None
+    criterion: rotation.RotationCriterion = rotation.RotationCriterion.varimax()
     coefficient_scaling: str = "component-unit-norm"
     kaiser: bool = True
     method: str = "pspca"

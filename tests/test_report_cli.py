@@ -17,7 +17,13 @@ from simpca import (
     run_simpca,
 )
 from simpca.cli import main
-from simpca.errors import MissingColumn, MissingValue, NonNumericCell
+from simpca.errors import (
+    EmptyInput,
+    MissingColumn,
+    MissingValue,
+    NonNumericCell,
+    RaggedRow,
+)
 from simpca.report import pca_report, report_from_json
 
 from conftest import EUROJOBS
@@ -261,6 +267,22 @@ def test_cli_exit_codes(tmp_path):
          "none", "--nd", "25"]
     )
     assert code == 2
+
+
+def test_cli_malformed_csv_is_data_error(tmp_path, capsys):
+    cases = [
+        ("empty.csv", "", EmptyInput),
+        ("blank.csv", "\n\n", EmptyInput),
+        ("header.csv", "a,b\n", EmptyInput),
+        ("short.csv", "a,b,c\n1,2,3\n4,5\n", RaggedRow),
+        ("long.csv", "a,b\n1,2\n3,4,5\n", RaggedRow),
+    ]
+    for name, text, error in cases:
+        path = _write(tmp_path, text, name=name)
+        with pytest.raises(error):
+            ingest_csv(path)
+        assert main(["pca", "--input", path, "--scale", "none", "--nd", "1"]) == 3
+        assert "data error" in capsys.readouterr().err
 
 
 def test_cli_scale_required():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from simpca import RotationCriterion, cf_value, fit_pca, orthomax_value, rotate
-from simpca.errors import ZeroRow
-from simpca.rotation import reorder_columns, rotated_scores
+from simpca.errors import NonFiniteInput, ZeroRow
+from simpca.rotation import _plane_angle, reorder_columns, rotated_scores
 
 from conftest import random_data
 
@@ -121,6 +121,113 @@ def test_two_column_rotation_matches_grid_search():
         assert cf_value(res.b, kappa) <= best + 1e-6
 
 
+def _plane_value(u, v, kappa, theta):
+    ct, st = np.cos(theta), np.sin(theta)
+    return cf_value(np.column_stack([u * ct + v * st, -u * st + v * ct]), kappa)
+
+
+def harmonic_fit_angle(u, v, kappa):
+    """Reference plane angle: fit c0, c3, c4 of
+    g(theta) = c0 + c3 cos(4 theta) + c4 sin(4 theta) from three evaluations
+    of the whole criterion, then minimize the harmonic."""
+    g0 = _plane_value(u, v, kappa, 0.0)
+    g1 = _plane_value(u, v, kappa, np.pi / 8)
+    g2 = _plane_value(u, v, kappa, -np.pi / 8)
+    c0 = 0.5 * (g1 + g2)
+    c4 = 0.5 * (g1 - g2)
+    c3 = g0 - c0
+    if np.hypot(c3, c4) == 0.0:
+        return 0.0
+    return np.arctan2(-c4, -c3) / 4.0
+
+
+def test_plane_angle_matches_harmonic_fit():
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        p = int(rng.integers(2, 12))
+        u, v = rng.standard_normal((2, p)) * rng.uniform(0.1, 10.0)
+        kappa = (0.0, 1.0, float(rng.uniform()))[trial % 3]
+        scale = max(1.0, _plane_value(u, v, kappa, 0.0))
+        got = _plane_value(u, v, kappa, _plane_angle(u, v, kappa))
+        ref = _plane_value(u, v, kappa, harmonic_fit_angle(u, v, kappa))
+        assert got == pytest.approx(ref, abs=1e-12 * scale)
+        assert got <= _plane_value(u, v, kappa, 0.0) + 1e-12 * scale
+
+
+def test_plane_angle_flat_plane_is_zero():
+    # W = 0: two zero columns, and (at kappa = 1) a one-entry column beside a
+    # zero column, where the criterion does not change under rotation
+    zero = np.zeros(4)
+    assert _plane_angle(zero, zero, 0.3) == 0.0
+    assert _plane_angle(zero, np.array([0.0, 0.0, 2.0, 0.0]), 1.0) == 0.0
+
+
+def gpa_rotation(a, value_and_gradient, tol=1e-5, max_iter=500):
+    """Orthogonal gradient-projection rotation minimizing a criterion
+    (Bernaards & Jennrich 2005), started at the identity. Returns the
+    criterion value it reaches."""
+    t = np.eye(a.shape[1])
+    f, grad = value_and_gradient(a)
+    g = a.T @ grad
+    step = 1.0
+    for _ in range(max_iter):
+        m = t.T @ g
+        projected = g - t @ (m + m.T) / 2
+        s = np.linalg.norm(projected)
+        if s < tol:
+            break
+        step *= 2
+        for _ in range(20):
+            u, _, vt = np.linalg.svd(t - step * projected)
+            new_t = u @ vt
+            new_f, new_grad = value_and_gradient(a @ new_t)
+            if new_f < f - 0.5 * s * s * step:
+                break
+            step /= 2
+        t, f, g = new_t, new_f, a.T @ new_grad
+    return f
+
+
+def cf_value_and_gradient(kappa):
+    def value_and_gradient(b):
+        b2 = b**2
+        rows = b2.sum(axis=1, keepdims=True)
+        cols = b2.sum(axis=0, keepdims=True)
+        grad = 4 * b * ((1 - kappa) * (rows - b2) + kappa * (cols - b2))
+        return cf_value(b, kappa), grad
+
+    return value_and_gradient
+
+
+def negated_varimax_and_gradient(b):
+    # minus the maximized trace value p*sum(b^4) - sum_j(colsumsq_j)^2
+    b2 = b**2
+    cols = b2.sum(axis=0)
+    value = b.shape[0] * np.sum(b2**2) - np.sum(cols**2)
+    return -value, -4 * b * (b.shape[0] * b2 - cols)
+
+
+def test_rotate_no_worse_than_gradient_projection():
+    # noisy simple structure under a random rotation: the setting rotation is
+    # for, where the optimum's basin is wide enough for both methods to share
+    rng = np.random.default_rng(13)
+    for d in (3, 4, 5):
+        for _ in range(2):
+            p = 4 * d
+            loadings = np.zeros((p, d))
+            loadings[np.arange(p), np.arange(p) % d] = rng.uniform(0.5, 1.0, p)
+            loadings += 0.2 * rng.standard_normal((p, d))
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            a = loadings @ q
+            for kappa in (0.0, 0.5, 1.0):
+                res = rotate(a, RotationCriterion.crawford_ferguson(kappa), tol=1e-13)
+                oracle = gpa_rotation(a, cf_value_and_gradient(kappa))
+                assert res.criterion_trace[-1] <= oracle + 1e-8 * max(1.0, abs(oracle))
+            res = rotate(a, RotationCriterion.varimax(), tol=1e-13)
+            oracle = -gpa_rotation(a, negated_varimax_and_gradient)
+            assert res.criterion_trace[-1] >= oracle - 1e-8 * max(1.0, abs(oracle))
+
+
 def test_varimax_agrees_with_statsmodels():
     statsmodels = pytest.importorskip("statsmodels.multivariate.factor_rotation")
     rng = np.random.default_rng(5)
@@ -160,6 +267,15 @@ def test_kaiser_zero_row_error():
     a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ZeroRow):
         rotate(a, RotationCriterion.varimax(), kaiser=True)
+
+
+def test_rotate_non_finite_input():
+    a = np.ones((4, 2))
+    for bad in (np.nan, np.inf):
+        a[2, 1] = bad
+        with pytest.raises(NonFiniteInput) as err:
+            rotate(a, RotationCriterion.varimax())
+        assert (err.value.row, err.value.col) == (2, 1)
 
 
 def test_rotate_shape_validation():

@@ -273,3 +273,15 @@ def test_pipeline_config_validation():
         _pipeline_config(nd=4, nr=3)
     with pytest.raises(ValueError):
         _pipeline_config(method="lasso")
+
+
+def test_pipeline_config_defaults_to_varimax():
+    rng = np.random.default_rng(14)
+    x = random_data(rng, n=20, p=6)
+    strategy = SelectionStrategy(kind="forward", alpha=0.95)
+    default = run_simpca(x, SimpcaPipelineConfig(nd=2, nr=3, strategy=strategy))
+    explicit = run_simpca(x, _pipeline_config())
+    assert default.config.criterion == RotationCriterion.varimax()
+    for a, b in zip(default.components, explicit.components):
+        assert a.support.indices == b.support.indices
+        assert np.array_equal(a.scores, b.scores)
