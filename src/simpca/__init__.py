@@ -17,7 +17,6 @@ from .core import (
 from .pca import (
     PcaModel,
     deflate,
-    extra_vexp,
     fit_pca,
     rescale_coefficients,
     vexp_of_component,
@@ -73,7 +72,6 @@ __all__ = [
     "cspca_component",
     "deflate",
     "emit",
-    "extra_vexp",
     "fit_pca",
     "forward_select",
     "ingest_csv",

@@ -46,6 +46,10 @@ class DataMatrix:
     def p(self):
         return self.values.shape[1]
 
+    def __array__(self, dtype=None, copy=None):
+        """The centered values, so every function taking an array takes this."""
+        return np.array(self.values, dtype=dtype, copy=copy)
+
     def cross_product(self):
         """S = X'X (covariance or correlation scale, depending on scaling)."""
         return self.values.T @ self.values
@@ -118,12 +122,12 @@ def center_scale(raw, scaling="none", column_names=None):
 
 
 def svd(x):
-    """Thin SVD of a centered DataMatrix (or plain matrix), rank-truncated.
+    """Thin SVD of a centered DataMatrix or array, rank-truncated.
 
     Returns (U, lambda, V) with non-increasing singular values, keeping only
     the r = numerical-rank triplets (cutoff max(n, p) * eps * lambda_1).
     """
-    values = x.values if hasattr(x, "values") else np.asarray(x, float)
+    values = np.asarray(x, float)
     u, s, vt = np.linalg.svd(values, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return u[:, :0], s[:0], vt[:0].T
@@ -169,7 +173,7 @@ def vif(x, subset=None):
     For each column i of the subset, the R^2 of regressing it on the
     remaining subset columns. A singleton subset gives [0].
     """
-    values = x.values if hasattr(x, "values") else np.asarray(x, float)
+    values = np.asarray(x, float)
     idx = list(range(values.shape[1])) if subset is None else list(subset)
     out = np.zeros(len(idx))
     if len(idx) == 1:
@@ -185,7 +189,7 @@ def pairwise_abs_correlations(x, subset=None):
 
     Returns a 1-d array in condensed (upper-triangle) order.
     """
-    values = x.values if hasattr(x, "values") else np.asarray(x, float)
+    values = np.asarray(x, float)
     idx = list(range(values.shape[1])) if subset is None else list(subset)
     if len(idx) < 2:
         raise ValueError("need at least 2 columns")
@@ -199,12 +203,3 @@ def pairwise_abs_correlations(x, subset=None):
     iu = np.triu_indices(len(idx), k=1)
     return np.abs(np.clip(c[iu], -1.0, 1.0))
 
-
-def corr(a, b):
-    """Pearson correlation of two vectors (assumed centered or not; centered here)."""
-    a = np.asarray(a, float) - np.mean(a)
-    b = np.asarray(b, float) - np.mean(b)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))

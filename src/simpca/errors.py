@@ -135,8 +135,3 @@ class RaggedRow(DataError):
         self.row, self.cells, self.expected = row, cells, expected
         super().__init__(f"row {row} has {cells} cells but the header has {expected}")
 
-
-class NotConverged(NumericalError):
-    def __init__(self, what, iterations):
-        self.what, self.iterations = what, iterations
-        super().__init__(f"{what} did not converge in {iterations} iterations")

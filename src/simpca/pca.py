@@ -1,8 +1,9 @@
 """Principal components, coefficient scalings and variance-explained accounting.
 
 Variance explained by a score vector t is the squared norm of the projection
-of X onto span(t); "extra" variance explained replaces X by the
-orthocomplement Q of the previously accepted components.
+of X onto span(t). "Extra" variance explained is ``vexp_of_component(q, t)``,
+with the orthocomplement Q of the previously accepted components in place
+of X.
 """
 
 from dataclasses import dataclass
@@ -44,19 +45,20 @@ def fix_signs(v):
 
 
 def fit_pca(x, d):
-    """First d principal components of a centered DataMatrix."""
-    u, s, v = core.svd(x)
+    """First d principal components of a centered DataMatrix or array."""
+    values = np.asarray(x, float)
+    u, s, v = core.svd(values)
     rank = s.size
     if not 1 <= d <= rank:
         raise RankExceeded(d, rank)
     v, signs = fix_signs(v[:, :d])
-    scores = x.values @ v
+    scores = values @ v
     return PcaModel(
         v=v,
         lam=s[:d].copy(),
         scores=scores,
         vexp=s[:d] ** 2,
-        total_variance=x.total_variance,
+        total_variance=float(np.sum(values**2)),
     )
 
 
@@ -65,23 +67,13 @@ def vexp_of_component(x, t):
 
     ||t (t't)^-1 t' X||^2 = ||X't||^2 / t't; invariant to rescaling t.
     """
-    values = x.values if hasattr(x, "values") else np.asarray(x, float)
+    values = np.asarray(x, float)
     t = np.asarray(t, float)
     tt = float(t @ t)
     if tt == 0.0:
         raise ZeroComponent()
     xt = values.T @ t
     return float(xt @ xt) / tt
-
-
-def extra_vexp(q, t):
-    """Variance of the orthocomplement Q explained by the score vector t.
-
-    Q is X residualized on previously accepted components (Q_1 = X), so for
-    the first component this equals vexp_of_component(x, t), and it is zero
-    for any t already deflated out.
-    """
-    return vexp_of_component(q, t)
 
 
 def deflate(x, t):
@@ -91,9 +83,10 @@ def deflate(x, t):
     component; the result satisfies Q't = 0 for every column. Deflating
     against a block is not the same as deflating sequentially when the
     columns are correlated, so callers tracking several components must
-    pass the whole block. Accepts and returns a plain matrix.
+    pass the whole block. Takes a DataMatrix or an array and returns an
+    array.
     """
-    values = x.values if hasattr(x, "values") else np.asarray(x, float)
+    values = np.asarray(x, float)
     t = np.asarray(t, float)
     if t.ndim == 1:
         tt = float(t @ t)

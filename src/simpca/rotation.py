@@ -157,8 +157,8 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     scaled back afterwards (the rescaling commutes with the right-side
     rotation, so b = a @ o still holds for the original a). Extra restarts
     start from random orthogonal matrices; the best final criterion wins,
-    ties broken by restart index. A NaN or infinite entry raises
-    ``NonFiniteInput``.
+    ties broken by restart index; ``restarts`` must be at least 1. A NaN or
+    infinite entry raises ``NonFiniteInput``.
     """
     a = np.asarray(a, float)
     p, d = a.shape
@@ -167,6 +167,8 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
         raise ValueError("need at least 2 columns to rotate")
     if p < d:
         raise ValueError("need p >= d")
+    if restarts < 1:
+        raise ValueError("need restarts >= 1")
     if kaiser:
         row_norms = np.linalg.norm(a, axis=1)
         zero = np.nonzero(row_norms == 0.0)[0]
@@ -215,28 +217,6 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     )
 
 
-def reorder_columns(result, order, signs=None):
-    """Permute (and optionally sign-flip) the columns of a RotationResult.
-
-    The permutation/sign matrix is folded into the rotation, so b = a @ o
-    is preserved.
-    """
-    order = list(order)
-    if signs is None:
-        signs = np.ones(len(order))
-    signs = np.asarray(signs, float)
-    return RotationResult(
-        b=result.b[:, order] * signs,
-        o=result.o[:, order] * signs,
-        criterion_trace=result.criterion_trace,
-        kaiser=result.kaiser,
-        converged=result.converged,
-        sweeps_used=result.sweeps_used,
-        criterion=result.criterion,
-    )
-
-
 def rotated_scores(x, v, o):
     """Scores X @ (V @ O) of the rotated components."""
-    values = x.values if hasattr(x, "values") else np.asarray(x, float)
-    return values @ (np.asarray(v, float) @ np.asarray(o, float))
+    return np.asarray(x, float) @ (np.asarray(v, float) @ np.asarray(o, float))

@@ -103,7 +103,7 @@ def iterative_reverse_threshold(x, target, coefficients, alpha):
     """Add variables in descending |coefficient| order until R^2 >= alpha."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    values = x.values if hasattr(x, "values") else np.asarray(x, float)
+    values = np.asarray(x, float)
     order = np.argsort(-np.abs(np.asarray(coefficients, float)), kind="stable")
     chosen = []
     trace = []
@@ -131,7 +131,7 @@ def forward_select(x, target, alpha, max_cardinality=None):
     """Greedy forward selection until R^2 >= alpha or the cap is reached."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    values = x.values if hasattr(x, "values") else np.asarray(x, float)
+    values = np.asarray(x, float)
     p = values.shape[1]
     cap = p if max_cardinality is None else min(max_cardinality, p)
     chosen = []
@@ -159,7 +159,7 @@ def backward_select(x, target, alpha, start="auto"):
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    values = x.values if hasattr(x, "values") else np.asarray(x, float)
+    values = np.asarray(x, float)
     n, p = values.shape
     if start == "auto":
         start = "full" if p <= n else "forward"
@@ -199,7 +199,7 @@ def stepwise_select(x, target, alpha, entry=1e-6, exit=1e-6, max_cardinality=Non
         raise ValueError("alpha must be in (0, 1]")
     if entry < exit:
         raise ValueError("entry must be >= exit")
-    values = x.values if hasattr(x, "values") else np.asarray(x, float)
+    values = np.asarray(x, float)
     p = values.shape[1]
     cap = p if max_cardinality is None else min(max_cardinality, p)
     chosen = []
@@ -240,7 +240,7 @@ def stepwise_select(x, target, alpha, entry=1e-6, exit=1e-6, max_cardinality=Non
 
 def select_support(x, target, coefficients, strategy):
     """Dispatch a SelectionStrategy against data, target and coefficients."""
-    values = x.values if hasattr(x, "values") else np.asarray(x, float)
+    values = np.asarray(x, float)
     if strategy.kind == "fixed-threshold":
         support = threshold_support(coefficients, strategy.threshold, strategy.norm_m)
     elif strategy.kind == "adaptive-threshold":

@@ -19,6 +19,7 @@ from . import core, pca, rotation, selection
 from .errors import (
     EmptySupport,
     InfeasibleOrthogonality,
+    RankExceeded,
     SingularSubset,
     ZeroTarget,
 )
@@ -78,10 +79,6 @@ class PipelineResult:
     config: SimpcaPipelineConfig
 
 
-def _values(x):
-    return x.values if hasattr(x, "values") else np.asarray(x, float)
-
-
 def contributions(coefficients):
     """Signed percent contributions of a nonzero-coefficient vector."""
     c = np.asarray(coefficients, float)
@@ -103,7 +100,7 @@ def _finish(x, q, support, coefficients, scores, method, target=None):
         scores=np.asarray(scores, float),
         method=method,
         vexp=pca.vexp_of_component(x, scores),
-        extra_vexp=pca.extra_vexp(q, scores),
+        extra_vexp=pca.vexp_of_component(q, scores),
         r2_vs_target=r2,
         contributions=contributions(coefficients),
     )
@@ -116,7 +113,7 @@ def project_component(x, support, target, q=None):
     target = np.asarray(target, float)
     if float(target @ target) == 0.0:
         raise ZeroTarget()
-    values = _values(x)
+    values = np.asarray(x, float)
     if q is None:
         q = values
     sub = values[:, list(support.indices)]
@@ -147,8 +144,8 @@ def cspca_component(x, q, support):
     """
     if not support.indices:
         raise EmptySupport()
-    values = _values(x)
-    qv = _values(q)
+    values = np.asarray(x, float)
+    qv = np.asarray(q, float)
     sub = values[:, list(support.indices)]
     qx = qv.T @ sub
     w = _leading_generalized_eigvec(qx.T @ qx, sub.T @ sub, support)
@@ -162,8 +159,8 @@ def uspca_component(x, q, support, previous_components=()):
     previously computed components' scores."""
     if not support.indices:
         raise EmptySupport()
-    values = _values(x)
-    qv = _values(q)
+    values = np.asarray(x, float)
+    qv = np.asarray(q, float)
     sub = values[:, list(support.indices)]
     prev = [
         c.scores if isinstance(c, SparseComponent) else np.asarray(c, float)
@@ -186,6 +183,15 @@ def uspca_component(x, q, support, previous_components=()):
     return _finish(x, qv, support, w, sub @ w, "uspca")
 
 
+def _plain_component(x, q, support, coefficients, target):
+    """Keep the support's coefficients as they are, rescaled to unit L2."""
+    indices = list(support.indices)
+    coef = np.asarray(coefficients, float)[indices]
+    coef = coef / np.linalg.norm(coef)
+    scores = np.asarray(x, float)[:, indices] @ coef
+    return _finish(x, q, support, coef, scores, "plain-threshold", target)
+
+
 def plain_threshold_component(x, coefficients, t, norm_m=2, q=None):
     """Thresholding baseline: keep large coefficients, zero the rest.
 
@@ -194,14 +200,11 @@ def plain_threshold_component(x, coefficients, t, norm_m=2, q=None):
     by projection, not assumed equal to the score norm.
     """
     support = selection.threshold_support(coefficients, t, norm_m)
-    values = _values(x)
-    if q is None:
-        q = values
-    coef = np.asarray(coefficients, float)[list(support.indices)]
-    coef = coef / np.linalg.norm(coef)
-    scores = values[:, list(support.indices)] @ coef
+    values = np.asarray(x, float)
     target = values @ np.asarray(coefficients, float)
-    return _finish(x, q, support, coef, scores, "plain-threshold", target)
+    return _plain_component(
+        x, values if q is None else q, support, coefficients, target
+    )
 
 
 def component_correlations(components):
@@ -227,28 +230,24 @@ def _sparsify(x, q, support, target, coefcol, method, accepted):
         return cspca_component(x, q, support)
     if method == "uspca":
         return uspca_component(x, q, support, accepted)
-    # plain thresholding keeps the original coefficient values
-    coef = np.asarray(coefcol, float)
-    mask = np.zeros(coef.size, bool)
-    mask[list(support.indices)] = True
-    kept = coef[mask] / np.linalg.norm(coef[mask])
-    values = _values(x)
-    scores = values[:, list(support.indices)] @ kept
-    comp = _finish(x, q, support, kept, scores, "plain-threshold", target)
-    return comp
+    return _plain_component(x, q, support, coefcol, target)
 
 
-def _rotated_targets(q, nr, config):
+def _rotated_targets(q, need, config):
     """PCA + scaling + rotation of the current (possibly deflated) matrix.
 
-    Returns (coefficient matrix, score matrix), columns ordered by
-    descending extra variance explained, signs fixed.
+    One SVD of q gives both its numerical rank, which must be at least
+    ``need`` (else ``RankExceeded``), and its first d = min(nr, rank)
+    principal components. Returns (coefficient matrix, score matrix,
+    vexp of the d principal components); the first two have their columns
+    ordered by descending extra variance explained, signs fixed.
     """
-    d = min(nr, core.numerical_rank(q))
-    model = pca.fit_pca(_Plain(q), d)
-    coefs = pca.rescale_coefficients(
-        model.v, config.coefficient_scaling, lam=model.lam
-    )
+    _, s, v = core.svd(q)
+    if s.size < need:
+        raise RankExceeded(need, s.size)
+    d = min(config.nr, s.size)
+    v, _ = pca.fix_signs(v[:, :d])
+    coefs = pca.rescale_coefficients(v, config.coefficient_scaling, lam=s[:d])
     if d >= 2:
         result = rotation.rotate(
             coefs,
@@ -263,60 +262,46 @@ def _rotated_targets(q, nr, config):
     else:
         b = coefs
     scores = q @ b
-    ve = [pca.extra_vexp(q, scores[:, j]) for j in range(d)]
+    ve = [pca.vexp_of_component(q, scores[:, j]) for j in range(d)]
     order = np.argsort(-np.asarray(ve), kind="stable")
     b, signs = pca.fix_signs(b[:, order])
-    return b, scores[:, order] * signs
-
-
-class _Plain:
-    """Array wrapper quacking like a DataMatrix for the pca helpers."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, float)
-
-    @property
-    def total_variance(self):
-        return float(np.sum(self.values**2))
+    return b, scores[:, order] * signs, s[:d] ** 2
 
 
 def run_simpca(x, config):
     """Run the full pipeline: PCA, rotation, per-component selection and
-    sparsification, with optional recomputation from the orthocomplement
-    after each accepted component.
+    sparsification.
+
+    Step j measures extra variance against the orthocomplement of the j
+    components accepted before it. With ``config.deflate`` the rotated
+    components are recomputed from that orthocomplement and step j takes
+    the leading one; without it, step j takes the j-th rotated component
+    of X. Raises ``RankExceeded`` when nd exceeds the numerical rank of X.
     """
-    values = _values(x)
+    values = np.asarray(x, float)
     q = values
+    b, targets, pca_vexp = _rotated_targets(values, config.nd, config)
     accepted = []
     rotated_vexp = []
-    full_model = pca.fit_pca(x, min(config.nr, core.numerical_rank(values)))
-
-    if config.deflate:
-        for j in range(config.nd):
-            b, targets = _rotated_targets(q, config.nr, config)
-            target = targets[:, 0]
-            support = selection.select_support(x, target, b[:, 0], config.strategy)
-            comp = _sparsify(x, q, support, target, b[:, 0], config.method, accepted)
-            rotated_vexp.append(pca.extra_vexp(q, target))
-            accepted.append(comp)
+    for j in range(config.nd):
+        if j:
             # deflate the *original* data against the whole accepted block:
             # sequential single-component deflation would leave q correlated
             # with the older components whenever the scores are oblique
             q = pca.deflate(values, np.column_stack([c.scores for c in accepted]))
-    else:
-        b, targets = _rotated_targets(values, config.nr, config)
-        for j in range(config.nd):
-            target = targets[:, j]
-            support = selection.select_support(x, target, b[:, j], config.strategy)
-            comp = _sparsify(x, q, support, target, b[:, j], config.method, accepted)
-            rotated_vexp.append(pca.extra_vexp(q, target))
-            accepted.append(comp)
-            q = pca.deflate(values, np.column_stack([c.scores for c in accepted]))
+            if config.deflate:
+                b, targets, _ = _rotated_targets(q, 1, config)
+        col = 0 if config.deflate else j
+        target = targets[:, col]
+        support = selection.select_support(values, target, b[:, col], config.strategy)
+        comp = _sparsify(values, q, support, target, b[:, col], config.method, accepted)
+        rotated_vexp.append(pca.vexp_of_component(q, target))
+        accepted.append(comp)
 
     return PipelineResult(
         components=tuple(accepted),
         rotated_vexp=np.asarray(rotated_vexp),
-        pca_vexp=full_model.vexp,
+        pca_vexp=pca_vexp,
         total_variance=float(np.sum(values**2)),
         config=config,
     )

@@ -22,6 +22,14 @@ def test_center_symmetric_column():
     assert x.column_means[0] == 2.0
 
 
+def test_data_matrix_is_its_values_as_an_array():
+    x = center_scale(np.array([[1.0, 4.0], [2.0, 0.0], [6.0, 2.0]]))
+    assert np.asarray(x, float) is x.values
+    copy = np.array(x)
+    assert np.array_equal(copy, x.values)
+    assert not np.shares_memory(copy, x.values)
+
+
 def test_unit_variance_sum_of_squares():
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((17, 5)) * rng.uniform(0.1, 9.0, 5)

@@ -6,7 +6,6 @@ import pytest
 from simpca import (
     center_scale,
     deflate,
-    extra_vexp,
     fit_pca,
     rescale_coefficients,
     vexp_of_component,
@@ -106,14 +105,7 @@ def test_deflate_orthogonality_and_vexp_split():
             x.total_variance, rel=1e-8
         )
         # a deflated-out direction explains no extra variance
-        assert extra_vexp(q, t) <= 1e-7
-
-
-def test_extra_vexp_first_step_equals_vexp():
-    rng = np.random.default_rng(6)
-    x = random_data(rng, n=18, p=5)
-    t = x.values @ rng.standard_normal(5)
-    assert extra_vexp(x, t) == pytest.approx(vexp_of_component(x, t), rel=1e-12)
+        assert vexp_of_component(q, t) <= 1e-7
 
 
 def test_rescale_modes_norms():

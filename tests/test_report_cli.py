@@ -220,7 +220,7 @@ def test_cli_rotate(tmp_path):
     assert len(lines) == 11  # header + 9 variables + convergence note
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # config error: cf criterion without kappa
     code = main(
         [
@@ -261,12 +261,28 @@ def test_cli_exit_codes(tmp_path):
         ]
     )
     assert code == 2
+    # config error: no rotation start
+    code = main(
+        ["rotate", "--input", EUROJOBS, "--id-column", "country", "--scale",
+         "none", "--nr", "3", "--restarts", "0"]
+    )
+    assert code == 2
     # numerical/config boundary: more components than rank
     code = main(
         ["pca", "--input", EUROJOBS, "--id-column", "country", "--scale",
          "none", "--nd", "25"]
     )
     assert code == 2
+    # ... also in the pipeline, in both modes: 4 centered rows have rank 3
+    path = _write(tmp_path, "a,b,c,d,e\n1,2,3,4,5\n2,1,0,3,7\n5,3,2,2,1\n0,4,1,6,2\n")
+    capsys.readouterr()
+    for mode in ("--deflate", "--no-deflate"):
+        code = main(
+            ["simpca", "--input", path, "--scale", "none", "--nr", "4", "--nd",
+             "4", mode]
+        )
+        assert code == 2
+        assert "requested 4 components but numerical rank is 3" in capsys.readouterr().err
 
 
 def test_cli_malformed_csv_is_data_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from simpca import RotationCriterion, cf_value, fit_pca, orthomax_value, rotate
 from simpca.errors import NonFiniteInput, ZeroRow
-from simpca.rotation import _plane_angle, reorder_columns, rotated_scores
+from simpca.rotation import _plane_angle, rotated_scores
 
 from conftest import random_data
 
@@ -283,6 +283,8 @@ def test_rotate_shape_validation():
         rotate(np.ones((5, 1)), RotationCriterion.varimax())
     with pytest.raises(ValueError):
         rotate(np.ones((2, 3)), RotationCriterion.varimax())
+    with pytest.raises(ValueError):
+        rotate(np.eye(3)[:, :2], RotationCriterion.varimax(), restarts=0)
 
 
 def test_restarts_never_worse():
@@ -293,15 +295,6 @@ def test_restarts_never_worse():
         single = rotate(a, crit)
         multi = rotate(a, crit, restarts=5, seed=11)
         assert multi.criterion_trace[-1] >= single.criterion_trace[-1] - 1e-9
-
-
-def test_reorder_columns_preserves_factorization():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((6, 3))
-    res = rotate(a, RotationCriterion.varimax())
-    re = reorder_columns(res, [2, 0, 1], signs=[-1.0, 1.0, -1.0])
-    assert np.allclose(re.b, a @ re.o, atol=1e-10)
-    assert np.allclose(re.o.T @ re.o, np.eye(3), atol=1e-10)
 
 
 def test_rotated_scores():

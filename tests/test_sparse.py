@@ -7,6 +7,7 @@ from simpca import (
     RotationCriterion,
     SelectionStrategy,
     SimpcaPipelineConfig,
+    center_scale,
     component_correlations,
     cspca_component,
     fit_pca,
@@ -16,12 +17,13 @@ from simpca import (
     uspca_component,
 )
 from simpca.core import r_squared
-from simpca.errors import EmptySupport, SingularSubset, ZeroTarget
-from simpca.pca import deflate, extra_vexp, vexp_of_component
+from simpca.errors import EmptySupport, RankExceeded, SingularSubset, ZeroTarget
+from simpca.pca import deflate, vexp_of_component
 from simpca.selection import SupportSet
+from simpca.report import ingest_csv
 from simpca.sparse import contributions
 
-from conftest import random_data
+from conftest import EUROJOBS, random_data
 
 
 def _random_support(rng, p, size=None):
@@ -266,6 +268,39 @@ def test_pipeline_no_deflate_uses_single_rotation():
     # accounting still avoids double counting: cumulative extra vexp never
     # exceeds the total variance
     assert sum(c.extra_vexp for c in res.components) <= x.total_variance * (1 + 1e-10)
+
+
+def test_pipeline_nd_above_rank_raises():
+    # 4 centered rows have rank 3: a fourth component would be fitted to
+    # round-off (deflate) or would not exist (no deflate)
+    x = center_scale(np.random.default_rng(15).standard_normal((4, 5)))
+    for deflate in (False, True):
+        with pytest.raises(RankExceeded) as err:
+            run_simpca(x, _pipeline_config(nd=4, nr=4, deflate=deflate))
+        assert (err.value.d, err.value.rank) == (4, 3)
+        res = run_simpca(x, _pipeline_config(nd=3, nr=4, deflate=deflate))
+        assert len(res.components) == 3
+
+
+def test_pipeline_plain_pairs_coefficients_with_their_columns():
+    # forward selection lists the support in the order it added variables,
+    # threshold selection in index order; on the same set of variables the
+    # plain component must be the same
+    names, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
+    x = center_scale(values, "unit-variance", names)
+    comps = [
+        run_simpca(x, _pipeline_config(
+            nd=1, nr=4, method="plain",
+            strategy=SelectionStrategy(kind=kind, alpha=0.95, threshold=0.3),
+        )).components[0]
+        for kind in ("forward", "fixed-threshold")
+    ]
+    forward, threshold = (c.support.indices for c in comps)
+    assert forward != threshold and sorted(forward) == list(threshold)
+    assert dict(zip(forward, comps[0].coefficients)) == pytest.approx(
+        dict(zip(threshold, comps[1].coefficients)), rel=1e-12
+    )
+    assert comps[0].extra_vexp == pytest.approx(comps[1].extra_vexp, rel=1e-12)
 
 
 def test_pipeline_config_validation():
