@@ -56,7 +56,8 @@ def build_parser():
 
     p_pca = sub.add_parser("pca", help="variance-explained spectrum")
     _common_data_args(p_pca)
-    p_pca.add_argument("--nd", type=int, required=True, help="components to report")
+    p_pca.add_argument("--nd", type=int, required=True,
+                       help="components to report (0: every one up to the rank)")
 
     p_rot = sub.add_parser("rotate", help="rotated coefficient table")
     _common_data_args(p_rot)
@@ -138,11 +139,10 @@ def _write(payload, args):
 
 def _cmd_pca(args):
     x, _, resp = _load(args)
-    if args.nd == 0:
-        d = core.numerical_rank(x)
-    else:
-        d = args.nd
-    rep = report.pca_report(x, d, _echo(args), response=resp)
+    # --nd 0 reports every component up to the rank, read off the one SVD;
+    # the echo holds the count reported, as --nd <rank> would
+    rep = report.pca_report(x, args.nd or None, _echo(args), response=resp)
+    rep.config["nd"] = len(rep.pca_vexp_pct)
     _write(report.emit(rep, args.format), args)
 
 

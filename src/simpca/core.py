@@ -1,8 +1,9 @@
 """Dense linear-algebra substrate shared by the rest of the package.
 
 Centering/scaling of raw observation matrices, SVD with numerical rank
-control, minimum-norm least squares, and correlation / variance-inflation
-diagnostics. Everything here is a pure function of immutable inputs.
+control, minimum-norm least squares, the add-one/drop-one R^2 kernel of
+support selection, and correlation / variance-inflation diagnostics.
+Everything here is a pure function of immutable inputs.
 """
 
 from dataclasses import dataclass
@@ -136,10 +137,6 @@ def svd(x):
     return u[:, :r], s[:r], vt[:r].T
 
 
-def numerical_rank(x):
-    return svd(x)[1].size
-
-
 def solve_ls(a, b):
     """Minimum-norm least-squares solution of a @ coef ~ b.
 
@@ -167,20 +164,83 @@ def r_squared(a, b):
     return max(0.0, 1.0 - float(resid @ resid) / denom)
 
 
+def _support_svd(a):
+    """Thin SVD of a, cut where ``lstsq`` cuts it, plus its null-space rule.
+
+    Keeps the r singular triplets above k * eps * sigma_1 (k columns), the
+    cutoff ``solve_ls`` passes to ``lstsq``. ``in_span[j]`` is True when
+    column j has a nonzero row in the null-space block of V, that is, when
+    it is a combination of the other columns. A row counts as nonzero above
+    eps in squared norm; an independent column's row is rounding of order
+    (eps * sigma_1 / sigma_r)^2. Returns (U_r, s_r, V_r, in_span).
+    """
+    n, k = a.shape
+    # with n < k, V needs its full k x k block to hold the null space
+    u, s, vt = np.linalg.svd(a, full_matrices=n < k)
+    r = int(np.sum(s > k * EPS * s[0])) if s.size else 0
+    in_span = np.sum(vt[r:] ** 2, axis=0) > EPS
+    return u[:, :r], s[:r], vt[:r].T, in_span
+
+
+def r2_add_drop(a, b, c=None):
+    """R^2 of b on the columns of a with one column added or one dropped.
+
+    One SVD of a scores every neighbour of the support at once (see the
+    ``selection`` module docstring for the algebra). Returns (add, drop):
+    ``add[i]`` is the R^2 on a plus column i of c (None without c) and
+    ``drop[j]`` the R^2 on a without its column j, both as ``r_squared``
+    defines it, minimum-norm handling of collinear columns included.
+    """
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    c = None if c is None else np.asarray(c, float)
+    yy = float(b @ b)
+    if yy == 0.0:  # as in r_squared: a zero target has R^2 0 everywhere
+        return None if c is None else np.zeros(c.shape[1]), np.zeros(a.shape[1])
+    u, s, v, in_span = _support_svd(a)
+    uy = u.T @ b
+    resid = b - u @ uy
+    rr = float(resid @ resid)
+    beta = v @ (uy / s)
+    cost = np.zeros(a.shape[1])
+    own = ~in_span
+    cost[own] = beta[own] ** 2 / np.sum((v[own] / s) ** 2, axis=1)
+    drop = np.maximum(0.0, 1.0 - (rr + cost) / yy)
+    if c is None:
+        return None, drop
+    z = c - u @ (u.T @ c)
+    zz = np.sum(z * z, axis=0)
+    # A column already in span(a) comes out of the projection as rounding
+    # of up to about 10 eps |c_i|, above lstsq's own cutoff for the
+    # augmented matrix; 16 times that cutoff keeps such columns at gain 0.
+    scale = np.maximum(s[0] if s.size else 0.0, np.linalg.norm(c, axis=0))
+    new = np.sqrt(zz) > 16 * (a.shape[1] + 1) * EPS * scale
+    gain = np.zeros(c.shape[1])
+    gain[new] = (resid @ z[:, new]) ** 2 / zz[new]
+    add = np.maximum(0.0, 1.0 - (rr - gain) / yy)
+    return add, drop
+
+
 def vif(x, subset=None):
     """Squared multiple correlation of each variable with the others.
 
     For each column i of the subset, the R^2 of regressing it on the
-    remaining subset columns. A singleton subset gives [0].
+    remaining subset columns, 1 - 1/(S_ii (S^+)_ii) with S = X'X, from one
+    SVD of the subset. A singleton subset or a zero column gives 0, a
+    column in the span of the others 1.
     """
     values = np.asarray(x, float)
     idx = list(range(values.shape[1])) if subset is None else list(subset)
     out = np.zeros(len(idx))
     if len(idx) == 1:
         return out
-    for k, i in enumerate(idx):
-        others = [j for j in idx if j != i]
-        out[k] = r_squared(values[:, others], values[:, i])
+    a = values[:, idx]
+    s_ii = np.sum(a**2, axis=0)
+    _, s, v, in_span = _support_svd(a)
+    own = ~in_span
+    out[own] = np.maximum(0.0, 1.0 - 1.0 / (s_ii[own] * np.sum((v[own] / s) ** 2, axis=1)))
+    out[in_span] = 1.0
+    out[s_ii == 0.0] = 0.0
     return out
 
 

@@ -46,14 +46,6 @@ class ZeroColumn(NumericalError):
         super().__init__(f"coefficient column {index} is identically zero")
 
 
-class ZeroRow(NumericalError):
-    def __init__(self, index):
-        self.index = index
-        super().__init__(
-            f"row {index} is identically zero; Kaiser normalization undefined"
-        )
-
-
 class EmptySupport(NumericalError):
     def __init__(self, threshold=None):
         self.threshold = threshold

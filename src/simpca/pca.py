@@ -44,11 +44,14 @@ def fix_signs(v):
     return v * signs, signs
 
 
-def fit_pca(x, d):
-    """First d principal components of a centered DataMatrix or array."""
+def fit_pca(x, d=None):
+    """First d principal components of a centered DataMatrix or array;
+    every component up to the numerical rank when d is None."""
     values = np.asarray(x, float)
     u, s, v = core.svd(values)
     rank = s.size
+    if d is None:
+        d = rank
     if not 1 <= d <= rank:
         raise RankExceeded(d, rank)
     v, signs = fix_signs(v[:, :d])

@@ -145,13 +145,14 @@ def build_report(x, result, config_echo, response=None):
 
 
 def pca_report(x, d, config_echo, response=None):
-    """PCA-only report: vexp spectrum, no sparse component blocks."""
+    """PCA-only report: vexp spectrum, no sparse component blocks; d=None
+    reports every component up to the numerical rank."""
     model = pca.fit_pca(x, d)
     response_r2 = []
     if response is not None:
         resp = np.asarray(response, float)
         resp = resp - resp.mean()
-        for k in range(1, d + 1):
+        for k in range(1, model.lam.size + 1):
             response_r2.append(core.r_squared(model.scores[:, :k], resp))
     return AnalysisReport(
         config=dict(config_echo),

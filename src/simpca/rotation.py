@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_finite
-from .errors import ZeroRow
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,8 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
 
     With ``kaiser`` the rows are scaled to unit L2 norm before rotation and
     scaled back afterwards (the rescaling commutes with the right-side
-    rotation, so b = a @ o still holds for the original a). Extra restarts
+    rotation, so b = a @ o still holds for the original a); a zero row,
+    such as a constant column's, keeps weight 1 and stays zero. Extra restarts
     start from random orthogonal matrices; the best final criterion wins,
     ties broken by restart index; ``restarts`` must be at least 1. A NaN or
     infinite entry raises ``NonFiniteInput``.
@@ -171,9 +171,7 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
         raise ValueError("need restarts >= 1")
     if kaiser:
         row_norms = np.linalg.norm(a, axis=1)
-        zero = np.nonzero(row_norms == 0.0)[0]
-        if zero.size:
-            raise ZeroRow(int(zero[0]))
+        row_norms[row_norms == 0.0] = 1.0  # a zero row has no direction; it stays zero
         work = a / row_norms[:, None]
     else:
         work = a

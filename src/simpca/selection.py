@@ -5,13 +5,31 @@ vector (after rescaling it to a unit L_m norm). Regression strategies pick
 columns of the data by how well they reproduce a target score vector,
 measured by the coefficient of determination R^2 (no intercept; everything
 is centered).
+
+Forward, backward and stepwise selection score every candidate of a step
+from one thin SVD of the chosen columns X_A (``core.r2_add_drop``), cut at
+``lstsq``'s cutoff k * eps * sigma_1, with U_r, s_r, V_r the kept triplets
+(Miller, *Subset Selection in Regression*, ch. 3):
+
+- add i: with r = y - U_r U_r'y and z_i = x_i - U_r U_r'x_i,
+  R^2(A + i) = 1 - (|r|^2 - (r'z_i)^2 / |z_i|^2) / |y|^2. A candidate whose
+  |z_i| is at most 16 times the augmented matrix's cutoff is already in
+  span(X_A) up to rounding and gains 0, as the minimum-norm fit gives it.
+- drop i: with beta = V_r (U_r'y / s_r) and (S^+)_ii = sum_k V_ik^2 / s_k^2,
+  R^2(A - i) = 1 - (|r|^2 + beta_i^2 / (S^+)_ii) / |y|^2. A column with a
+  nonzero row in the null-space block of V is a combination of the others;
+  dropping it leaves the span, and R^2, unchanged.
+
+Candidates are then scanned in order, as the per-candidate fits were: a
+later one wins only by more than _GAIN_EPS, so ties go to the lowest index
+(additions) or the first in the chosen order (removals).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import r_squared
+from .core import r2_add_drop, r_squared
 from .errors import (
     EmptySupport,
     ExhaustedSchedule,
@@ -117,14 +135,28 @@ def iterative_reverse_threshold(x, target, coefficients, alpha):
     return SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
 
 
-def _best_addition(values, target, chosen, candidates):
-    """Candidate giving the largest R^2 after inclusion; ties -> lowest index."""
+def _first_best(items, r2s):
+    """Item with the largest R^2, scanned in order: a later item wins only
+    by more than _GAIN_EPS, so ties go to the first."""
     best_i, best_r2 = None, -1.0
-    for i in candidates:
-        r2 = r_squared(values[:, chosen + [i]], target)
+    for i, r2 in zip(items, r2s):
         if r2 > best_r2 + _GAIN_EPS:
-            best_i, best_r2 = i, r2
+            best_i, best_r2 = i, float(r2)
     return best_i, best_r2
+
+
+def _best_addition(values, target, chosen):
+    """Unchosen column giving the largest R^2 after inclusion; ties -> lowest index."""
+    candidates = [i for i in range(values.shape[1]) if i not in chosen]
+    add, _ = r2_add_drop(values[:, chosen], target, values[:, candidates])
+    return _first_best(candidates, add)
+
+
+def _best_removal(values, target, chosen, removable):
+    """Column of ``removable`` (a prefix of ``chosen``) whose removal keeps
+    the largest R^2; ties -> first in ``chosen``."""
+    _, drop = r2_add_drop(values[:, chosen], target)
+    return _first_best(removable, drop)
 
 
 def forward_select(x, target, alpha, max_cardinality=None):
@@ -138,8 +170,7 @@ def forward_select(x, target, alpha, max_cardinality=None):
     trace = []
     r2 = 0.0
     while len(chosen) < cap:
-        candidates = [i for i in range(p) if i not in chosen]
-        i, new_r2 = _best_addition(values, target, chosen, candidates)
+        i, new_r2 = _best_addition(values, target, chosen)
         if i is None or new_r2 <= r2 + _GAIN_EPS and chosen:
             break
         chosen.append(i)
@@ -174,12 +205,7 @@ def backward_select(x, target, alpha, start="auto"):
     r2 = r_squared(values[:, chosen], target)
     trace = [("+", i, None) for i in chosen]
     while len(chosen) > 1:
-        best_i, best_r2 = None, -1.0
-        for i in chosen:
-            rest = [j for j in chosen if j != i]
-            cand = r_squared(values[:, rest], target)
-            if cand > best_r2 + _GAIN_EPS:
-                best_i, best_r2 = i, cand
+        best_i, best_r2 = _best_removal(values, target, chosen, chosen)
         if best_i is None or best_r2 < alpha:
             break
         chosen.remove(best_i)
@@ -207,10 +233,7 @@ def stepwise_select(x, target, alpha, entry=1e-6, exit=1e-6, max_cardinality=Non
     r2 = 0.0
     seen = {frozenset()}
     while len(chosen) < cap:
-        candidates = [i for i in range(p) if i not in chosen]
-        if not candidates:
-            break
-        i, new_r2 = _best_addition(values, target, chosen, candidates)
+        i, new_r2 = _best_addition(values, target, chosen)
         if i is None or (chosen and new_r2 - r2 <= entry):
             break
         chosen.append(i)
@@ -218,12 +241,8 @@ def stepwise_select(x, target, alpha, entry=1e-6, exit=1e-6, max_cardinality=Non
         trace.append(("+", i, r2))
         # prune: removals that cost less than `exit` in R^2
         while len(chosen) > 1:
-            best_j, best_r2 = None, -1.0
-            for j in chosen[:-1]:  # never undo the variable just added
-                rest = [k for k in chosen if k != j]
-                cand = r_squared(values[:, rest], target)
-                if cand > best_r2 + _GAIN_EPS:
-                    best_j, best_r2 = j, cand
+            # never undo the variable just added
+            best_j, best_r2 = _best_removal(values, target, chosen, chosen[:-1])
             if best_j is None or r2 - best_r2 >= exit:
                 break
             chosen.remove(best_j)

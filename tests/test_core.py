@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simpca import center_scale, pairwise_abs_correlations, solve_ls, svd, vif
-from simpca.core import DataMatrix, numerical_rank, r_squared
+from simpca.core import DataMatrix, r_squared
 from simpca.errors import NonFiniteInput, ZeroVarianceColumn
 
 from conftest import random_data
@@ -77,7 +77,7 @@ def test_svd_reconstruction_and_rank():
         assert np.all(np.diff(s) <= 1e-12)
     # exact low rank: a rank-2 matrix keeps exactly 2 triplets
     a = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 6))
-    assert numerical_rank(a - a.mean(axis=0)) == 2
+    assert svd(a - a.mean(axis=0))[1].size == 2
 
 
 def test_solve_ls_against_normal_equations():

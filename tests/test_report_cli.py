@@ -16,6 +16,7 @@ from simpca import (
     ingest_csv,
     run_simpca,
 )
+from simpca import core
 from simpca.cli import main
 from simpca.errors import (
     EmptyInput,
@@ -161,6 +162,20 @@ def test_cli_pca_tsv(tmp_path, capsys):
     text = open(out).read()
     assert "# pca vexp" in text
     assert "pc1\t81.5" in text
+
+
+def test_cli_pca_nd_zero_takes_one_svd(tmp_path, monkeypatch):
+    svd = core.svd
+    calls = []
+    monkeypatch.setattr(core, "svd", lambda x: calls.append(1) or svd(x))
+    argv = ["pca", "--input", EUROJOBS, "--id-column", "country", "--scale", "none"]
+    auto, fixed = tmp_path / "auto.tsv", tmp_path / "fixed.tsv"
+    assert main(argv + ["--nd", "0", "--out", str(auto)]) == 0
+    assert len(calls) == 1
+    _, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
+    rank = svd(center_scale(values))[1].size
+    assert main(argv + ["--nd", str(rank), "--out", str(fixed)]) == 0
+    assert auto.read_bytes() == fixed.read_bytes()
 
 
 def test_cli_simpca_json(tmp_path):

@@ -3,11 +3,23 @@
 import numpy as np
 import pytest
 
-from simpca import RotationCriterion, cf_value, fit_pca, orthomax_value, rotate
-from simpca.errors import NonFiniteInput, ZeroRow
+from simpca import (
+    RotationCriterion,
+    SelectionStrategy,
+    SimpcaPipelineConfig,
+    center_scale,
+    cf_value,
+    deflate,
+    fit_pca,
+    orthomax_value,
+    rotate,
+    run_simpca,
+)
+from simpca.errors import NonFiniteInput
+from simpca.report import ingest_csv
 from simpca.rotation import _plane_angle, rotated_scores
 
-from conftest import random_data
+from conftest import EUROJOBS, random_data
 
 
 def naive_cf(b, kappa):
@@ -263,10 +275,27 @@ def test_cf_kappa_zero_equals_quartimax_objective():
         assert np.all(np.abs(values - values[0]) <= 1e-6 * np.abs(values[0]))
 
 
-def test_kaiser_zero_row_error():
-    a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ZeroRow):
-        rotate(a, RotationCriterion.varimax(), kaiser=True)
+def test_kaiser_zero_row_stays_zero():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 3))
+    a[2] = 0.0
+    res = rotate(a, RotationCriterion.varimax(), kaiser=True)
+    assert np.all(res.b[2] == 0.0)
+    assert np.allclose(res.b, a @ res.o, atol=1e-12)
+    assert np.allclose(res.o.T @ res.o, np.eye(3), atol=1e-12)
+    # a constant column has all-zero PCA coefficients, so Kaiser
+    # normalization meets a zero row whenever two or more components rotate
+    names, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
+    x = center_scale(np.column_stack([values, np.full(values.shape[0], 7.0)]))
+    config = SimpcaPipelineConfig(
+        nd=3, nr=4, kaiser=True, strategy=SelectionStrategy(kind="forward", alpha=0.95)
+    )
+    result = run_simpca(x, config)
+    assert sum(c.extra_vexp for c in result.components) <= result.total_variance * (1 + 1e-12)
+    scores = np.column_stack([c.scores for c in result.components])
+    q = deflate(x, scores)
+    resid = np.max(np.abs(q.T @ scores)) / (np.linalg.norm(q) * np.linalg.norm(scores))
+    assert resid <= 1e-10
 
 
 def test_rotate_non_finite_input():

@@ -1,9 +1,12 @@
 """Support selection: thresholding variants and regression subset search."""
 
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpca import (
     SelectionStrategy,
@@ -15,7 +18,8 @@ from simpca import (
     stepwise_select,
     threshold_support,
 )
-from simpca.core import r_squared
+from simpca import selection
+from simpca.core import r_squared, vif
 from simpca.errors import (
     EmptySupport,
     ExhaustedSchedule,
@@ -273,3 +277,149 @@ def test_alpha_validation():
             fn(x, target, 0.0)
     with pytest.raises(ValueError):
         iterative_reverse_threshold(x, target, np.ones(4), 1.5)
+
+
+# --- Differential oracle: one lstsq fit per candidate -------------------
+# The loops selection ran before scoring every candidate from one SVD of
+# the support. Patched in for the kernel, they must give the same supports
+# and trace steps, and R^2 to 1e-9 relative (1e-12 absolute near 0).
+# Where both sides of a decision are equal in exact arithmetic (an R^2 of
+# exactly alpha, two candidates with one R^2, a duplicate column whose
+# lstsq gain is a few ulps), rounding picks the branch, differently in the
+# two computations; such a run must agree once every threshold is moved by
+# ROUNDING, which no real difference in R^2 survives.
+
+ROUNDING = 1e-12
+
+
+def _lstsq_best_addition(values, target, chosen):
+    best_i, best_r2 = None, -1.0
+    for i in range(values.shape[1]):
+        if i in chosen:
+            continue
+        r2 = r_squared(values[:, chosen + [i]], target)
+        if r2 > best_r2 + selection._GAIN_EPS:
+            best_i, best_r2 = i, r2
+    return best_i, best_r2
+
+
+def _lstsq_best_removal(values, target, chosen, removable):
+    best_i, best_r2 = None, -1.0
+    for i in removable:
+        r2 = r_squared(values[:, [j for j in chosen if j != i]], target)
+        if r2 > best_r2 + selection._GAIN_EPS:
+            best_i, best_r2 = i, r2
+    return best_i, best_r2
+
+
+def _lstsq_vif(values, subset):
+    if len(subset) == 1:
+        return np.zeros(1)
+    return np.array([
+        r_squared(values[:, [j for j in subset if j != i]], values[:, i]) for i in subset
+    ])
+
+
+@contextmanager
+def _patched(**attrs):
+    saved = {name: getattr(selection, name) for name in attrs}
+    for name, value in attrs.items():
+        setattr(selection, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(selection, name, value)
+
+
+def _kernel_and_oracle(kind, x, target, alpha, entry, exit, cap):
+    """(kernel run, lstsq run) of one selection strategy."""
+    if kind == "forward":
+        run = lambda: forward_select(x, target, alpha, cap)  # noqa: E731
+    elif kind == "backward":
+        run = lambda: backward_select(x, target, alpha)  # noqa: E731
+    else:
+        run = lambda: stepwise_select(x, target, alpha, entry, exit, cap)  # noqa: E731
+    with _patched(_best_addition=_lstsq_best_addition, _best_removal=_lstsq_best_removal):
+        want = run()
+    return run(), want
+
+
+def _steps(support):
+    return [t[:2] for t in support.trace]
+
+
+def _r2_close(a, b):
+    if a is None or b is None:
+        return a is b
+    return a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+
+def _assert_same_selection(x, target, alpha, entry, exit, cap):
+    for kind in ("forward", "backward", "stepwise"):
+        got, want = _kernel_and_oracle(kind, x, target, alpha, entry, exit, cap)
+        if _steps(got) != _steps(want):
+            with _patched(_GAIN_EPS=ROUNDING):
+                for shift in (-ROUNDING, ROUNDING):
+                    got, want = _kernel_and_oracle(
+                        kind, x, target, min(alpha + shift, 1.0), entry + shift,
+                        exit + shift, cap,
+                    )
+                    if _steps(got) == _steps(want):
+                        break
+        assert got.indices == want.indices
+        assert _steps(got) == _steps(want)
+        assert all(_r2_close(g[2], w[2]) for g, w in zip(got.trace, want.trace))
+        assert _r2_close(got.r2, want.r2)
+
+
+def _assert_same_vif(values, subset):
+    got = vif(values, subset)
+    want = _lstsq_vif(values, subset)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_selection_matches_lstsq_oracle_on_factor_data():
+    rng = np.random.default_rng(16)
+    for case in range(30):
+        x = random_data(rng, n=int(rng.integers(12, 60)), p=int(rng.integers(4, 14)))
+        p = x.p
+        weights = rng.standard_normal(p) * (rng.random(p) < 0.5)
+        target = x.values @ weights + 0.3 * rng.standard_normal(x.n)
+        alpha = (0.8, 0.95, 0.999, 1.0)[case % 4]
+        entry = exit = (1e-6, 1e-3, 0.02)[case % 3]
+        cap = None if case % 2 else int(rng.integers(2, p + 1))
+        _assert_same_selection(x, target - target.mean(), alpha, entry, exit, cap)
+        subset = sorted(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+        _assert_same_vif(x.values, subset)
+
+
+@st.composite
+def integer_selection_inputs(draw):
+    n = draw(st.integers(2, 8))
+    p = draw(st.integers(2, 8))
+    cells = st.lists(st.integers(-4, 4), min_size=n * p, max_size=n * p)
+    values = np.array(draw(cells), float).reshape(n, p)
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(p)))[:2]
+        values[:, j] = values[:, i]
+    if draw(st.booleans()):
+        values[:, draw(st.integers(0, p - 1))] = draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        values = values - values.mean(axis=0)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=p, max_size=p))
+        target = values @ np.array(weights, float)
+    else:
+        target = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), float)
+    entry, exit = draw(st.sampled_from([(1e-6, 1e-6), (1e-2, 1e-3), (0.1, 0.1)]))
+    return (values, target, draw(st.sampled_from([0.5, 0.95, 1.0])), entry, exit,
+            draw(st.sampled_from([None, 2, 4])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(integer_selection_inputs())
+def test_selection_matches_lstsq_oracle_on_integer_matrices(inputs):
+    values, target, alpha, entry, exit, cap = inputs
+    _assert_same_selection(values, target, alpha, entry, exit, cap)
+    _assert_same_vif(values, list(range(values.shape[1])))
