@@ -123,18 +123,28 @@ def center_scale(raw, scaling="none", column_names=None):
 
 
 def svd(x):
-    """Thin SVD of a centered DataMatrix or array, rank-truncated.
+    """Singular values and right singular vectors of a centered DataMatrix
+    or array, rank-truncated.
 
-    Returns (U, lambda, V) with non-increasing singular values, keeping only
-    the r = numerical-rank triplets (cutoff max(n, p) * eps * lambda_1).
+    Returns (lambda, V) with non-increasing singular values, keeping only
+    the r = numerical-rank pairs (cutoff max(n, p) * eps * lambda_1 of the
+    input). No caller reads U, so none is formed for tall input: from
+    n >= 11p/6 on, the SVD is that of R in X = QR (Chan's R-SVD). That is
+    the first step LAPACK's gesdd takes at the same crossover, so lambda
+    and V are bit for bit those of ``np.linalg.svd(x)``; below it, and for
+    n <= p, the SVD is taken directly, as gesdd would, and its U discarded.
     """
     values = np.asarray(x, float)
-    u, s, vt = np.linalg.svd(values, full_matrices=False)
+    n, p = values.shape
+    tall = n > p and n >= p * 11 // 6
+    _, s, vt = np.linalg.svd(
+        np.linalg.qr(values, mode="r") if tall else values, full_matrices=False
+    )
     if s.size == 0 or s[0] == 0.0:
-        return u[:, :0], s[:0], vt[:0].T
-    tol = max(values.shape) * EPS * s[0]
+        return s[:0], vt[:0].T
+    tol = max(n, p) * EPS * s[0]
     r = int(np.sum(s > tol))
-    return u[:, :r], s[:r], vt[:r].T
+    return s[:r], vt[:r].T
 
 
 def solve_ls(a, b):

@@ -48,7 +48,7 @@ def fit_pca(x, d=None):
     """First d principal components of a centered DataMatrix or array;
     every component up to the numerical rank when d is None."""
     values = np.asarray(x, float)
-    u, s, v = core.svd(values)
+    s, v = core.svd(values)
     rank = s.size
     if d is None:
         d = rank

@@ -9,12 +9,20 @@ component correlations, and optional external-response R^2.
 import csv
 import io
 import json
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import core, pca, sparse
-from .errors import EmptyInput, MissingColumn, MissingValue, NonNumericCell, RaggedRow
+from .errors import (
+    ConfigError,
+    EmptyInput,
+    MissingColumn,
+    MissingValue,
+    NonNumericCell,
+    RaggedRow,
+)
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "?", "."}
 
@@ -26,15 +34,65 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
     labels) and the response column are excluded from the feature matrix.
     Rows with missing cells are rejected; imputation is not supported. A
     file without data rows, or with a row whose cell count differs from the
-    header's, is rejected too.
+    header's, is rejected too, and so is a delimiter of other than one
+    character (``ConfigError``).
+
+    The header is read with the ``csv`` module and the body with one
+    ``np.loadtxt`` call in C. A file loadtxt cannot read whole, or in which
+    it reads a NaN, goes to a per-cell scan, which raises the typed error,
+    with its row and column, or returns the values: a ``nan`` token is
+    ``MissingValue``, and a token that only Python's ``float()`` reads,
+    such as ``1_0`` or non-ASCII digits, keeps the value ``float()`` gives
+    it. Both readers parse a number to the same double.
     """
+    if delimiter is not None and len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
     with open(path, newline="") as fh:
         sample = fh.read(4096)
         fh.seek(0)
         if delimiter is None:
             delimiter = "\t" if "\t" in sample.partition("\n")[0] else ","
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = [row for row in reader if row]
+        header = next((row for row in csv.reader(fh, delimiter=delimiter) if row), [])
+        header = [h.strip() for h in header]
+        named = [c for c in (id_column, response_column) if c is not None]
+        block = ids = None
+        # a missing column, or one named twice, is the scan's to report
+        if header and set(named) <= set(header) and len(set(named)) == len(named):
+            block, ids = _load_body(fh, delimiter, header, id_column)
+    if block is None or block.shape[1] != len(header) or np.isnan(block).any():
+        return _scan_csv(path, response_column, id_column, delimiter)
+    drop = [header.index(c) for c in named]
+    feature_cols = [i for i in range(len(header)) if i not in drop]
+    resp = None if response_column is None else block[:, header.index(response_column)].copy()
+    return [header[i] for i in feature_cols], block[:, feature_cols], ids, resp
+
+
+def _load_body(fh, delimiter, header, id_column):
+    """The rows after the header as loadtxt's float block, and the stripped
+    labels of the id column (None without one), which reads as 0.0 in the
+    block; (None, None) when loadtxt fails or finds no data row."""
+    ids = None
+    converters = None
+    if id_column is not None:
+        ids = []
+        converters = {header.index(id_column): lambda cell: ids.append(cell.strip()) or 0.0}
+    try:
+        with warnings.catch_warnings():
+            # loadtxt only warns on a body without data rows
+            warnings.simplefilter("error", UserWarning)
+            # encoding=None hands the converter str, not bytes, on numpy < 2
+            block = np.loadtxt(fh, delimiter=delimiter, converters=converters, ndmin=2,
+                               comments=None, quotechar='"', encoding=None)
+    except (ValueError, TypeError, UserWarning):
+        return None, None
+    return block, ids
+
+
+def _scan_csv(path, response_column, id_column, delimiter):
+    """Per-cell reading of a CSV, for every file loadtxt does not read
+    whole in ``ingest_csv``: raises the error of the first bad row or cell."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
     if len(rows) < 2:
         raise EmptyInput()
     header = [h.strip() for h in rows[0]]
@@ -46,6 +104,9 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
             drop.append(header.index(name))
     feature_cols = [i for i in range(len(header)) if i not in drop]
     names = [header[i] for i in feature_cols]
+    parse_cols = list(feature_cols)
+    if response_column is not None:
+        parse_cols.append(header.index(response_column))
 
     ids = []
     response = []
@@ -56,7 +117,7 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
         if id_column is not None:
             ids.append(row[header.index(id_column)].strip())
         parsed = []
-        for c in feature_cols + ([header.index(response_column)] if response_column else []):
+        for c in parse_cols:
             cell = row[c].strip()
             if cell.lower() in _MISSING_TOKENS:
                 raise MissingValue(r, header[c])
@@ -68,8 +129,8 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
             response.append(parsed.pop())
         data.append(parsed)
     values = np.asarray(data, float)
-    resp = np.asarray(response, float) if response_column else None
-    return names, values, (ids if id_column else None), resp
+    resp = None if response_column is None else np.asarray(response, float)
+    return names, values, (None if id_column is None else ids), resp
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,7 @@ def _rotated_targets(q, need, config):
     vexp of the d principal components); the first two have their columns
     ordered by descending extra variance explained, signs fixed.
     """
-    _, s, v = core.svd(q)
+    s, v = core.svd(q)
     if s.size < need:
         raise RankExceeded(need, s.size)
     d = min(config.nr, s.size)

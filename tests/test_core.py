@@ -72,12 +72,59 @@ def test_svd_reconstruction_and_rank():
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = random_data(rng)
-        u, s, v = svd(x)
-        assert np.allclose(u * s @ v.T, x.values, atol=1e-8)
+        s, v = svd(x)
+        xv = x.values @ v
+        assert np.allclose(xv @ v.T, x.values, atol=1e-8)
+        assert np.allclose(np.linalg.norm(xv, axis=0), s, rtol=1e-10)
         assert np.all(np.diff(s) <= 1e-12)
-    # exact low rank: a rank-2 matrix keeps exactly 2 triplets
+    # exact low rank: a rank-2 matrix keeps exactly 2 pairs
     a = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 6))
-    assert svd(a - a.mean(axis=0))[1].size == 2
+    assert svd(a - a.mean(axis=0))[0].size == 2
+
+
+@pytest.mark.parametrize(
+    "shape, factors, duplicate, rank",
+    [
+        ((400, 48), None, False, 48),  # tall, past gesdd's QR crossover at 11p/6
+        ((26, 9), None, False, 9),
+        ((60, 40), None, False, 40),  # tall, below the crossover
+        ((30, 30), None, False, 30),
+        ((12, 40), None, False, 12),  # wide
+        ((400, 48), None, True, 47),
+        ((60, 40), None, True, 39),
+        ((30, 30), None, True, 29),
+        ((12, 40), None, True, 12),
+        ((200, 20), 3, False, 3),
+        ((12, 40), 5, True, 5),
+    ],
+)
+def test_svd_matches_full_svd_bit_for_bit(shape, factors, duplicate, rank):
+    rng = np.random.default_rng(sum(shape) + rank)
+    n, p = shape
+    if factors is None:
+        a = rng.standard_normal(shape)
+    else:
+        a = rng.standard_normal((n, factors)) @ rng.standard_normal((factors, p))
+    if duplicate:
+        a[:, -1] = a[:, 0]
+    s, v = svd(a)
+    _, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
+    r = int(np.sum(s_ref > max(n, p) * np.finfo(float).eps * s_ref[0]))
+    assert s.size == r == rank
+    assert np.array_equal(s, s_ref[:r])
+    assert np.array_equal(v, vt_ref[:r].T)
+
+
+def test_svd_rank_cutoff_is_that_of_the_input():
+    # lambda_p sits between p * eps and n * eps times lambda_1: the cutoff
+    # is max(n, p) * eps * lambda_1 of X, not p * eps * lambda_1 of its R
+    rng = np.random.default_rng(0)
+    n, p = 400, 10
+    u, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    lam = np.ones(p)
+    lam[-1] = np.sqrt(n * p) * np.finfo(float).eps
+    assert svd((u * lam) @ v.T)[0].size == p - 1
 
 
 def test_solve_ls_against_normal_equations():

@@ -4,11 +4,15 @@ Matrices are 2-8 rows by 2-8 columns of small integers, so ties, p > n,
 rank deficiency, duplicate and constant columns all come up; one column is
 sometimes copied over another and one sometimes made constant on purpose.
 Every selection strategy, every sparsifier and both deflation modes run.
+Row-permutation invariance is checked on factor data instead (see
+``factor_inputs``): a permutation changes only the rounding, so it can only
+hold where no decision sits within rounding of its boundary.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +20,14 @@ from simpca import (
     SelectionStrategy,
     SimpcaPipelineConfig,
     center_scale,
+    cspca_component,
     deflate,
+    project_component,
     run_simpca,
+    uspca_component,
 )
 from simpca.errors import SimpcaError, ZeroVarianceColumn
+from simpca.selection import SupportSet
 
 KINDS = (
     "fixed-threshold",
@@ -107,3 +115,108 @@ def test_data_matrix_and_array_agree(inputs):
     for a, b in zip(from_matrix.components, from_array.components):
         assert a.support.indices == b.support.indices
         assert np.array_equal(a.scores, b.scores)
+
+
+@st.composite
+def factor_inputs(draw):
+    """Factor data whose rotated components are well determined.
+
+    k factors with scales 1.5^-j plus noise of 0.05, n >= 2p, and at most
+    k - nd + 1 rotated components, so the last deflated step still rotates
+    factor directions, not noise. Kaiser normalization is off: see
+    ``test_kaiser_after_a_singleton_depends_on_row_order``.
+    """
+    p = draw(st.integers(3, 8))
+    n = draw(st.integers(2 * p, 30))
+    k = draw(st.integers(2, p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = rng.standard_normal((n, k)) * 1.5 ** -np.arange(k)
+    raw = factors @ rng.standard_normal((k, p)) + 0.05 * rng.standard_normal((n, p))
+    nd = draw(st.integers(1, (k + 1) // 2))
+    nr = draw(st.integers(nd, k - nd + 1))
+    config = SimpcaPipelineConfig(
+        nd=nd,
+        nr=nr,
+        strategy=SelectionStrategy(
+            kind=draw(st.sampled_from(KINDS)),
+            alpha=draw(st.sampled_from([0.5, 0.9, 0.99])),
+        ),
+        method=draw(st.sampled_from(METHODS)),
+        deflate=draw(st.booleans()),
+        kaiser=False,
+    )
+    scaling = draw(st.sampled_from(["none", "unit-variance"]))
+    return raw, scaling, draw(st.permutations(range(n))), config
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(factor_inputs())
+def test_row_permutation_keeps_supports_and_extra_vexp(inputs):
+    raw, scaling, perm, config = inputs
+    before = _run(center_scale(raw, scaling), config)
+    after = _run(center_scale(raw[perm], scaling), config)
+    if isinstance(before, type):
+        assert after is before
+        return
+    for a, b in zip(before.components, after.components, strict=True):
+        assert a.support.indices == b.support.indices
+        assert b.extra_vexp == pytest.approx(a.extra_vexp, rel=1e-9)
+
+
+@pytest.mark.xfail(
+    reason="Kaiser normalization gives the round-off coefficient row of a "
+    "deflated-away variable unit weight, so which rotation follows depends "
+    "on the rounding",
+    strict=False,
+)
+def test_kaiser_after_a_singleton_depends_on_row_order():
+    rng = np.random.default_rng(1)
+    raw = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 8))
+    raw += 0.05 * rng.standard_normal((30, 8))
+    perm = rng.permutation(30)
+    config = SimpcaPipelineConfig(
+        nd=2, nr=3, strategy=SelectionStrategy(kind="fixed-threshold", threshold=0.5)
+    )
+    before = run_simpca(center_scale(raw), config)
+    after = run_simpca(center_scale(raw[perm]), config)
+    # the first support is one variable; deflating it away leaves its
+    # column of Q, and its coefficient row, at round-off
+    assert before.components[0].support.indices == (7,)
+    assert after.components[1].support.indices == before.components[1].support.indices
+
+
+@st.composite
+def fixed_support_inputs(draw):
+    """X, up to two accepted score vectors, a support and a target."""
+    x, _ = draw(pipeline_inputs())
+    combos = st.lists(st.integers(-3, 3), min_size=x.p, max_size=x.p)
+    scores = [x.values @ np.array(draw(combos), float) for _ in range(draw(st.integers(0, 2)))]
+    indices = sorted(draw(st.sets(st.integers(0, x.p - 1), min_size=1)))
+    target = x.values @ np.array(draw(combos), float)
+    return x, [t for t in scores if np.any(t)], SupportSet(indices=tuple(indices)), target
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fixed_support_inputs())
+def test_cspca_dominates_on_a_fixed_support(inputs):
+    """CSPCA maximizes extra vexp over the support, so on the same support
+    and deflated matrix it explains at least what PSPCA and USPCA do. The
+    tolerance is relative to the total variance: when the support lies in
+    the span of the accepted scores, every method's extra vexp is round-off
+    and a ratio of two of them is noise."""
+    x, accepted, support, target = inputs
+    q = deflate(x, np.column_stack(accepted)) if accepted else x.values
+    try:
+        best = cspca_component(x, q, support).extra_vexp
+    except SimpcaError:  # a singular support has no CSPCA
+        return
+    slack = 1e-12 * x.total_variance
+    for build in (
+        lambda: project_component(x, support, target, q=q),
+        lambda: uspca_component(x, q, support, accepted),
+    ):
+        try:
+            other = build().extra_vexp
+        except SimpcaError:  # zero target, or no orthogonal score on the support
+            continue
+        assert best >= other - slack

@@ -173,7 +173,7 @@ def test_cli_pca_nd_zero_takes_one_svd(tmp_path, monkeypatch):
     assert main(argv + ["--nd", "0", "--out", str(auto)]) == 0
     assert len(calls) == 1
     _, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
-    rank = svd(center_scale(values))[1].size
+    rank = svd(center_scale(values))[0].size
     assert main(argv + ["--nd", str(rank), "--out", str(fixed)]) == 0
     assert auto.read_bytes() == fixed.read_bytes()
 
@@ -282,6 +282,11 @@ def test_cli_exit_codes(tmp_path, capsys):
          "none", "--nr", "3", "--restarts", "0"]
     )
     assert code == 2
+    # config error: a delimiter of other than one character
+    for delimiter in ("", ";;"):
+        code = main(["pca", "--input", EUROJOBS, "--delimiter", delimiter,
+                     "--scale", "none", "--nd", "2"])
+        assert code == 2
     # numerical/config boundary: more components than rank
     code = main(
         ["pca", "--input", EUROJOBS, "--id-column", "country", "--scale",
