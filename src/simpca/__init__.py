@@ -9,7 +9,6 @@ alternatives), with full variance-explained accounting.
 from .core import (
     DataMatrix,
     center_scale,
-    pairwise_abs_correlations,
     solve_ls,
     svd,
     vif,
@@ -25,9 +24,7 @@ from .rotation import (
     RotationCriterion,
     RotationResult,
     cf_value,
-    orthomax_value,
     rotate,
-    rotated_scores,
 )
 from .selection import (
     SelectionStrategy,
@@ -76,13 +73,10 @@ __all__ = [
     "forward_select",
     "ingest_csv",
     "iterative_reverse_threshold",
-    "orthomax_value",
-    "pairwise_abs_correlations",
     "plain_threshold_component",
     "project_component",
     "rescale_coefficients",
     "rotate",
-    "rotated_scores",
     "run_simpca",
     "solve_ls",
     "stepwise_select",

@@ -2,7 +2,7 @@
 
 Centering/scaling of raw observation matrices, SVD with numerical rank
 control, minimum-norm least squares, the add-one/drop-one R^2 kernel of
-support selection, and correlation / variance-inflation diagnostics.
+support selection, and variance-inflation diagnostics.
 Everything here is a pure function of immutable inputs.
 """
 
@@ -51,18 +51,10 @@ class DataMatrix:
         """The centered values, so every function taking an array takes this."""
         return np.array(self.values, dtype=dtype, copy=copy)
 
-    def cross_product(self):
-        """S = X'X (covariance or correlation scale, depending on scaling)."""
-        return self.values.T @ self.values
-
     @property
     def total_variance(self):
         """trace(S) = squared Frobenius norm of the centered matrix."""
         return float(np.sum(self.values**2))
-
-    def to_raw(self):
-        """Undo centering and scaling, returning the original-units matrix."""
-        return self.values * self.column_scales + self.column_means
 
     def subset(self, indices):
         """New DataMatrix restricted to the given columns."""
@@ -140,11 +132,18 @@ def svd(x):
     _, s, vt = np.linalg.svd(
         np.linalg.qr(values, mode="r") if tall else values, full_matrices=False
     )
+    return _rank_cut(s, vt.T, max(n, p))
+
+
+def _rank_cut(s, v, m):
+    """The pairs (s, V) above the rank cutoff m * eps * s_1, where m is
+    max(n, p) of the n x p data; a zero or empty s has rank 0. ``svd`` cuts
+    with its input's shape; a caller holding only a triangular factor of
+    the data cuts again with the data's n."""
     if s.size == 0 or s[0] == 0.0:
-        return s[:0], vt[:0].T
-    tol = max(n, p) * EPS * s[0]
-    r = int(np.sum(s > tol))
-    return s[:r], vt[:r].T
+        return s[:0], v[:, :0]
+    r = int(np.sum(s > m * EPS * s[0]))
+    return s[:r], v[:, :r]
 
 
 def solve_ls(a, b):
@@ -252,24 +251,4 @@ def vif(x, subset=None):
     out[in_span] = 1.0
     out[s_ii == 0.0] = 0.0
     return out
-
-
-def pairwise_abs_correlations(x, subset=None):
-    """|Pearson correlation| for each unordered pair of subset columns.
-
-    Returns a 1-d array in condensed (upper-triangle) order.
-    """
-    values = np.asarray(x, float)
-    idx = list(range(values.shape[1])) if subset is None else list(subset)
-    if len(idx) < 2:
-        raise ValueError("need at least 2 columns")
-    cols = values[:, idx]
-    cols = cols - cols.mean(axis=0)
-    norms = np.linalg.norm(cols, axis=0)
-    zero = np.nonzero(norms == 0.0)[0]
-    if zero.size:
-        raise ZeroVarianceColumn(idx[int(zero[0])])
-    c = (cols / norms).T @ (cols / norms)
-    iu = np.triu_indices(len(idx), k=1)
-    return np.abs(np.clip(c[iu], -1.0, 1.0))
 

@@ -11,10 +11,7 @@ plane, which makes the sweep trace monotone.
 
 Orthogonal CF minimization at kappa is equivalent to maximizing the
 Orthomax objective p*sum(b^4) - p*kappa*sum_j(colsumsq_j)^2 (Crawford &
-Ferguson), so Orthomax presets are dispatched through kappa = c/p. Note
-that ``orthomax_value`` evaluates the two Orthomax terms with positive
-signs (the printed form, convenient for identities on matrices with equal
-column norms); the optimizer always works with the CF form.
+Ferguson), so Orthomax presets are dispatched through kappa = c/p.
 """
 
 import math
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_finite
+from .core import EPS, _check_finite
 
 
 @dataclass(frozen=True)
@@ -90,13 +87,6 @@ def cf_value(b, kappa):
     return (1.0 - kappa) * row + kappa * col
 
 
-def orthomax_value(b, c):
-    """Orthomax evaluation p * sum(b^4) + c * sum_j (sum_i b_ij^2)^2."""
-    b2 = np.asarray(b, float) ** 2
-    p = b2.shape[0]
-    return p * np.sum(b2**2) + c * np.sum(np.sum(b2, axis=0) ** 2)
-
-
 def _plane_angle(u, v, kappa):
     """Angle minimizing the CF criterion over a rotation of columns (u, v).
 
@@ -154,8 +144,11 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
 
     With ``kaiser`` the rows are scaled to unit L2 norm before rotation and
     scaled back afterwards (the rescaling commutes with the right-side
-    rotation, so b = a @ o still holds for the original a); a zero row,
-    such as a constant column's, keeps weight 1 and stays zero. Extra restarts
+    rotation, so b = a @ o still holds for the original a). A row at
+    round-off level, of norm at most p * eps times the largest row norm,
+    has no direction: it keeps weight 1, so a constant column's zero row
+    stays zero and the row of a variable that deflation has explained away
+    cannot steer the rotation. Extra restarts
     start from random orthogonal matrices; the best final criterion wins,
     ties broken by restart index; ``restarts`` must be at least 1. A NaN or
     infinite entry raises ``NonFiniteInput``.
@@ -171,7 +164,7 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
         raise ValueError("need restarts >= 1")
     if kaiser:
         row_norms = np.linalg.norm(a, axis=1)
-        row_norms[row_norms == 0.0] = 1.0  # a zero row has no direction; it stays zero
+        row_norms[row_norms <= p * EPS * row_norms.max()] = 1.0
         work = a / row_norms[:, None]
     else:
         work = a
@@ -214,7 +207,3 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
         criterion=criterion,
     )
 
-
-def rotated_scores(x, v, o):
-    """Scores X @ (V @ O) of the rotated components."""
-    return np.asarray(x, float) @ (np.asarray(v, float) @ np.asarray(o, float))

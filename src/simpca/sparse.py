@@ -8,6 +8,15 @@ orthocomplement Q of the previously accepted components (Q_1 = X):
 ||Q't||^2 / t't. The two LS variants maximize exactly that quotient over
 the support (USPCA under score-orthogonality constraints), so on any fixed
 support CSPCA >= USPCA and CSPCA >= PSPCA by construction.
+
+Each of these quantities, like every selection R^2, depends on X only
+through the norms ||Xu||. So ``run_simpca`` takes one QR, X = Q_x F, and
+runs every step on the triangular factor F (p x p, or n x p when n < p),
+for which ||Fu|| = ||Xu||, as Chan's R-SVD (TOMS 1982) does for the SVD:
+the SVDs, rotations, selections, sparsifiers and deflations all see F.
+Deflating F against the F-space scores F W gives the factor of X deflated
+against X W, with the same Q_x. Only the final scores X W are formed in
+n-space.
 """
 
 from dataclasses import dataclass, replace
@@ -122,11 +131,18 @@ def project_component(x, support, target, q=None):
     return _finish(x, q, support, coef, scores, "pspca", target)
 
 
-def _leading_generalized_eigvec(a_mat, b_mat, support):
-    """Leading eigenvector of a w = mu b w via symmetric whitening of b."""
+def _leading_generalized_eigvec(a_mat, b_mat, gram, support):
+    """Leading eigenvector of a w = mu b w via symmetric whitening of b.
+
+    b is singular when its smallest eigenvalue is within rounding of the
+    support's own scale, the largest diagonal entry of its Gram matrix
+    X_A'X_A. (For USPCA, b is X_A'X_A restricted to the feasible
+    directions; when those lie in null(X_A), b is itself round-off and
+    cannot set its own scale.)
+    """
     b_mat = (b_mat + b_mat.T) / 2.0
     evals, evecs = np.linalg.eigh(b_mat)
-    tol = b_mat.shape[0] * EPS * max(float(np.diag(b_mat).max()), EPS)
+    tol = b_mat.shape[0] * EPS * max(float(np.diag(gram).max()), EPS)
     if evals[0] <= tol:
         raise SingularSubset(support.indices)
     white = evecs / np.sqrt(evals)
@@ -148,7 +164,8 @@ def cspca_component(x, q, support):
     qv = np.asarray(q, float)
     sub = values[:, list(support.indices)]
     qx = qv.T @ sub
-    w = _leading_generalized_eigvec(qx.T @ qx, sub.T @ sub, support)
+    gram = sub.T @ sub
+    w = _leading_generalized_eigvec(qx.T @ qx, gram, gram, support)
     w, _ = pca.fix_signs(w[:, None])
     w = w[:, 0] / np.linalg.norm(w)
     return _finish(x, qv, support, w, sub @ w, "cspca")
@@ -174,9 +191,8 @@ def uspca_component(x, q, support, previous_components=()):
     else:
         basis = np.eye(sub.shape[1])
     qx = qv.T @ (sub @ basis)
-    z = _leading_generalized_eigvec(
-        qx.T @ qx, basis.T @ (sub.T @ sub) @ basis, support
-    )
+    gram = sub.T @ sub
+    z = _leading_generalized_eigvec(qx.T @ qx, basis.T @ gram @ basis, gram, support)
     w = basis @ z
     w, _ = pca.fix_signs(w[:, None])
     w = w[:, 0] / np.linalg.norm(w)
@@ -233,16 +249,18 @@ def _sparsify(x, q, support, target, coefcol, method, accepted):
     return _plain_component(x, q, support, coefcol, target)
 
 
-def _rotated_targets(q, need, config):
-    """PCA + scaling + rotation of the current (possibly deflated) matrix.
+def _rotated_targets(f, n, need, config):
+    """PCA + scaling + rotation of the current (possibly deflated) factor.
 
-    One SVD of q gives both its numerical rank, which must be at least
+    One SVD of f gives both its numerical rank, which must be at least
     ``need`` (else ``RankExceeded``), and its first d = min(nr, rank)
-    principal components. Returns (coefficient matrix, score matrix,
-    vexp of the d principal components); the first two have their columns
-    ordered by descending extra variance explained, signs fixed.
+    principal components. The rank is cut as ``core.svd`` cuts the n x p
+    data f stands for, at max(n, p) * eps * lambda_1. Returns (coefficient
+    matrix, F-space score matrix, vexp of the d principal components); the
+    first two have their columns ordered by descending extra variance
+    explained, signs fixed.
     """
-    s, v = core.svd(q)
+    s, v = core._rank_cut(*core.svd(f), max(n, f.shape[1]))
     if s.size < need:
         raise RankExceeded(need, s.size)
     d = min(config.nr, s.size)
@@ -261,8 +279,8 @@ def _rotated_targets(q, need, config):
         b = result.b
     else:
         b = coefs
-    scores = q @ b
-    ve = [pca.vexp_of_component(q, scores[:, j]) for j in range(d)]
+    scores = f @ b
+    ve = [pca.vexp_of_component(f, scores[:, j]) for j in range(d)]
     order = np.argsort(-np.asarray(ve), kind="stable")
     b, signs = pca.fix_signs(b[:, order])
     return b, scores[:, order] * signs, s[:d] ** 2
@@ -277,26 +295,35 @@ def run_simpca(x, config):
     components are recomputed from that orthocomplement and step j takes
     the leading one; without it, step j takes the j-th rotated component
     of X. Raises ``RankExceeded`` when nd exceeds the numerical rank of X.
+
+    Every step runs on the triangular factor F of X = Q_x F (see the module
+    docstring); each component's ``scores`` are then formed once in
+    n-space from its support and coefficients.
     """
     values = np.asarray(x, float)
-    q = values
-    b, targets, pca_vexp = _rotated_targets(values, config.nd, config)
+    n = values.shape[0]
+    f = q = np.linalg.qr(values, mode="r")
+    b, targets, pca_vexp = _rotated_targets(f, n, config.nd, config)
     accepted = []
+    f_scores = []
     rotated_vexp = []
     for j in range(config.nd):
         if j:
-            # deflate the *original* data against the whole accepted block:
-            # sequential single-component deflation would leave q correlated
-            # with the older components whenever the scores are oblique
-            q = pca.deflate(values, np.column_stack([c.scores for c in accepted]))
+            # deflate the *original* factor against the whole accepted
+            # block: sequential single-component deflation would leave q
+            # correlated with the older components whenever the scores are
+            # oblique
+            q = pca.deflate(f, np.column_stack(f_scores))
             if config.deflate:
-                b, targets, _ = _rotated_targets(q, 1, config)
+                b, targets, _ = _rotated_targets(q, n, 1, config)
         col = 0 if config.deflate else j
         target = targets[:, col]
-        support = selection.select_support(values, target, b[:, col], config.strategy)
-        comp = _sparsify(values, q, support, target, b[:, col], config.method, accepted)
+        support = selection.select_support(f, target, b[:, col], config.strategy)
+        comp = _sparsify(f, q, support, target, b[:, col], config.method, f_scores)
         rotated_vexp.append(pca.vexp_of_component(q, target))
-        accepted.append(comp)
+        f_scores.append(comp.scores)
+        scores = values[:, list(support.indices)] @ comp.coefficients
+        accepted.append(replace(comp, scores=scores))
 
     return PipelineResult(
         components=tuple(accepted),

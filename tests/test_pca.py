@@ -50,7 +50,7 @@ def test_vexp_equals_squared_singular_values_and_gram_eigenvalues():
         model = fit_pca(x, d)
         assert np.allclose(model.vexp, model.lam**2, rtol=1e-10)
         # independent oracle: eigenvalues of the Gram matrix X'X
-        evals = np.sort(np.linalg.eigvalsh(x.cross_product()))[::-1]
+        evals = np.sort(np.linalg.eigvalsh(x.values.T @ x.values))[::-1]
         assert np.allclose(model.vexp, evals[:d], rtol=1e-8)
         # scores really are X @ v and mutually orthogonal
         assert np.allclose(model.scores, x.values @ model.v)

@@ -11,13 +11,12 @@ from simpca import (
     cf_value,
     deflate,
     fit_pca,
-    orthomax_value,
     rotate,
     run_simpca,
 )
 from simpca.errors import NonFiniteInput
 from simpca.report import ingest_csv
-from simpca.rotation import _plane_angle, rotated_scores
+from simpca.rotation import _plane_angle
 
 from conftest import EUROJOBS, random_data
 
@@ -51,14 +50,6 @@ def test_cf_value_matches_naive():
             assert cf_value(b, kappa) == pytest.approx(
                 naive_cf(b, kappa), rel=1e-10
             )
-
-
-def test_orthomax_value_form():
-    rng = np.random.default_rng(1)
-    b = rng.standard_normal((6, 2))
-    b2 = b**2
-    expected = 6 * np.sum(b2**2) + 1.0 * np.sum(np.sum(b2, axis=0) ** 2)
-    assert orthomax_value(b, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_criterion_presets_and_validation():
@@ -324,12 +315,3 @@ def test_restarts_never_worse():
         single = rotate(a, crit)
         multi = rotate(a, crit, restarts=5, seed=11)
         assert multi.criterion_trace[-1] >= single.criterion_trace[-1] - 1e-9
-
-
-def test_rotated_scores():
-    rng = np.random.default_rng(9)
-    x = random_data(rng, n=15, p=5)
-    model = fit_pca(x, 3)
-    res = rotate(model.v, RotationCriterion.varimax())
-    got = rotated_scores(x, model.v, res.o)
-    assert np.allclose(got, x.values @ res.b, atol=1e-10)

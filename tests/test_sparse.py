@@ -116,6 +116,25 @@ def test_cspca_singular_subset():
         cspca_component(x, x.values, SupportSet(indices=(0, 1, 2)))
 
 
+def test_uspca_with_round_off_feasible_directions_raises_singular_subset():
+    # columns 0 and 4 are equal; the first component's scores leave the
+    # second support (0, 4) only w = (1, -1) / sqrt 2, whose scores
+    # X_A w are round-off
+    x = np.array([
+        [1, 3, -1.6, -2.4, 1],
+        [2, -2, 0.4, 2.6, 2],
+        [-3, 2, -0.6, -1.4, -3],
+        [-1, -3, -1.6, 2.6, -1],
+        [1, 0, 3.4, -1.4, 1],
+    ])
+    config = SimpcaPipelineConfig(
+        nd=2, nr=3, method="uspca", kaiser=False, deflate=False,
+        strategy=SelectionStrategy(kind="fixed-threshold", threshold=0.3),
+    )
+    with pytest.raises(SingularSubset):
+        run_simpca(x, config)
+
+
 def test_dominance_chain():
     # on a fixed support, cspca explains at least as much extra variance
     # as uspca and as the projection method
