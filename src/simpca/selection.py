@@ -92,7 +92,12 @@ def rescale_to_unit_norm(coefficients, norm_m=2):
 
 
 def threshold_support(coefficients, t, norm_m=2):
-    """Indices whose |coefficient| >= t after unit L_m rescaling."""
+    """Indices whose |coefficient| >= t after unit L_m rescaling.
+
+    Every |a_i| is at most 1 after that rescaling, so a t above 1 (or NaN)
+    could never keep a variable and is a configuration error."""
+    if not t <= 1:
+        raise ValueError("threshold must be at most 1")
     a = rescale_to_unit_norm(coefficients, norm_m)
     indices = tuple(int(i) for i in np.nonzero(np.abs(a) >= t)[0])
     if not indices:
@@ -110,10 +115,12 @@ def adaptive_threshold_support(coefficients, t0, step, norm_m=2):
         raise ValueError("t0 and step must be positive")
     t = t0
     while t > 0:
-        try:
-            return threshold_support(coefficients, t, norm_m)
-        except EmptySupport:
-            t = t - step
+        if t <= 1:
+            try:
+                return threshold_support(coefficients, t, norm_m)
+            except EmptySupport:
+                pass
+        t = t - step
     raise ExhaustedSchedule(t0, step)
 
 

@@ -22,7 +22,6 @@ n-space.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import core, pca, rotation, selection
 from .errors import (
@@ -171,9 +170,20 @@ def cspca_component(x, q, support):
     return _finish(x, qv, support, w, sub @ w, "cspca")
 
 
+def _null_space(a):
+    """Orthonormal basis of null(a) as columns, cut as scipy's null_space."""
+    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > max(a.shape) * EPS * s.max(initial=0.0)))
+    return vt[rank:].T
+
+
 def uspca_component(x, q, support, previous_components=()):
     """USPCA: as CSPCA, restricted to score vectors orthogonal to all
-    previously computed components' scores."""
+    previously computed components' scores.
+
+    The feasible weights are the null space of the m x k constraint block
+    C (row i: previous scores t_i' X_A), from one full SVD of C cut at
+    max(m, k) * eps * sigma_1; the component depends only on its span."""
     if not support.indices:
         raise EmptySupport()
     values = np.asarray(x, float)
@@ -185,7 +195,7 @@ def uspca_component(x, q, support, previous_components=()):
     ]
     if prev:
         constraints = np.vstack([t @ sub for t in prev])
-        basis = null_space(constraints)
+        basis = _null_space(constraints)
         if basis.shape[1] == 0:
             raise InfeasibleOrthogonality(len(support.indices), len(prev))
     else:

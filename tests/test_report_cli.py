@@ -287,6 +287,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         code = main(["pca", "--input", EUROJOBS, "--delimiter", delimiter,
                      "--scale", "none", "--nd", "2"])
         assert code == 2
+    # config error: no variable survives a fixed threshold above 1
+    code = main(["simpca", "--input", EUROJOBS, "--id-column", "country",
+                 "--scale", "none", "--nr", "3", "--nd", "2", "--select",
+                 "threshold", "--threshold", "2"])
+    assert code == 2
     # numerical/config boundary: more components than rank
     code = main(
         ["pca", "--input", EUROJOBS, "--id-column", "country", "--scale",

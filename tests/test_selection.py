@@ -73,6 +73,19 @@ def test_threshold_empty_is_error():
         rescale_to_unit_norm(np.zeros(3))
 
 
+def test_threshold_above_one_is_config_error():
+    # after unit L_m rescaling every |a_i| <= 1: t = 1 keeps the largest
+    # under the max norm, any t above 1 (or NaN) is rejected before the cut
+    coefs = np.array([0.2, -0.8, 0.4])
+    assert threshold_support(coefs, 1.0, np.inf).indices == (1,)
+    for t in (1.0 + 1e-12, 2.0, np.nan):
+        with pytest.raises(ValueError):
+            threshold_support(coefs, t, 2)
+    # an adaptive schedule starting above 1 still steps down into range
+    sup = adaptive_threshold_support(coefs, 1.1, 0.25, np.inf)
+    assert sup.indices == (1,) and sup.threshold_used == pytest.approx(0.85)
+
+
 def test_adaptive_threshold_schedule():
     # max rescaled |coefficient| 0.22 -> thresholds 0.25, 0.20 -> used 0.20
     coefs = np.array([0.22, 0.1, 0.1])

@@ -1,5 +1,9 @@
 """Sparse components: projection, LS variants, pipeline behavior."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,7 +25,7 @@ from simpca.errors import EmptySupport, RankExceeded, SingularSubset, ZeroTarget
 from simpca.pca import deflate, vexp_of_component
 from simpca.selection import SupportSet
 from simpca.report import ingest_csv
-from simpca.sparse import contributions
+from simpca.sparse import _null_space, contributions
 
 from conftest import EUROJOBS, random_data
 
@@ -133,6 +137,52 @@ def test_uspca_with_round_off_feasible_directions_raises_singular_subset():
     )
     with pytest.raises(SingularSubset):
         run_simpca(x, config)
+
+
+def _constraint_blocks():
+    """(a, rank) pairs: wide, tall, rank-deficient, duplicated rows,
+    ill-conditioned, zero."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for m, k, r in [(2, 7, 2), (1, 5, 1), (9, 4, 4), (6, 6, 6), (5, 8, 2),
+                    (7, 3, 1), (4, 4, 3)]:
+        cases.append((rng.standard_normal((m, r)) @ rng.standard_normal((r, k)), r))
+    row = rng.standard_normal(6)
+    cases.append((np.vstack([row, row, 2 * row]), 1))
+    pair = rng.standard_normal((2, 5))
+    cases.append((pair[[0, 1, 0, 1]], 2))
+    cases.append((rng.integers(-3, 4, (3, 8))[[0, 1, 2, 2]].astype(float), 3))
+    # full rank, with sigma_2 = 1e-12 sigma_1 well above the cut
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+    cases.append(((u * [1.0, 1e-12]) @ v.T, 2))
+    cases += [(np.zeros((3, 5)), 0), (np.zeros((1, 1)), 0)]
+    return cases
+
+
+def test_null_space_basis():
+    for a, rank in _constraint_blocks():
+        basis = _null_space(a)
+        k = a.shape[1]
+        assert basis.shape == (k, k - rank)
+        assert np.linalg.norm(a @ basis) <= 1e-12 * np.linalg.norm(a)
+        assert np.allclose(basis.T @ basis, np.eye(k - rank), rtol=0, atol=1e-12)
+
+
+def test_null_space_projector_matches_scipy():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    for a, _ in _constraint_blocks():
+        ours = _null_space(a)
+        theirs = scipy_linalg.null_space(a)
+        assert ours.shape == theirs.shape
+        assert np.allclose(ours @ ours.T, theirs @ theirs.T, rtol=0, atol=1e-12)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, simpca, simpca.cli; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_dominance_chain():
