@@ -9,11 +9,19 @@ the plane's two columns, which generalizes Kaiser's varimax pair angle to
 the CF family (Browne 2001). Every plane step is a global minimizer of its
 plane, which makes the sweep trace monotone.
 
+A sweep takes the planes in the cyclic order (0, 1), (0, 2), ..., (d - 2,
+d - 1), but evaluates them one level j + k at a time. The planes of a level
+share no row, and each row meets its planes in the cyclic order, so a level
+can rotate all of its planes in one batched product and still give every
+plane the same two rows, and the sweep the same bits, as a plane-by-plane
+loop.
+
 Orthogonal CF minimization at kappa is equivalent to maximizing the
 Orthomax objective p*sum(b^4) - p*kappa*sum_j(colsumsq_j)^2 (Crawford &
 Ferguson), so Orthomax presets are dispatched through kappa = c/p.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,39 +95,68 @@ def cf_value(b, kappa):
     return (1.0 - kappa) * row + kappa * col
 
 
-def _plane_angle(u, v, kappa):
+def _plane_angle(s, sq, kappa):
     """Angle minimizing the CF criterion over a rotation of columns (u, v).
 
     With z = u + iv and w = z^2 = (u^2 - v^2) + 2iuv, rotating by theta maps
     z to z e^{-i theta}, and the plane-restricted criterion is
     g(theta) = const + Re(e^{-4i theta} W) / 4 with
-    W = kappa (sum w)^2 - sum w^2. Its minimizer is arg(-W) / 4 (0 when the
-    criterion is flat in the plane, W = 0).
+    W = kappa (sum w)^2 - sum w^2. Given s = sum w and sq = w . w, its
+    minimizer is arg(-W) / 4 (0 when the criterion is flat in the plane,
+    W = 0).
     """
-    w = (u + 1j * v) ** 2
-    s = complex(w.sum())
-    big_w = kappa * s * s - complex(w @ w)
+    big_w = kappa * s * s - sq
     if big_w == 0.0:
         return 0.0
     return math.atan2(-big_w.imag, -big_w.real) / 4.0
 
 
+@functools.lru_cache(maxsize=None)
+def _levels(d):
+    """The planes (j, k), j < k < d, grouped by level j + k = 1 .. 2d - 3,
+    as one (m, 2) array of row pairs per level."""
+    return tuple(
+        np.array([(j, level - j) for j in range(max(0, level - d + 1), (level + 1) // 2)])
+        for level in range(1, 2 * d - 2)
+    )
+
+
 def _sweep(b, o, kappa):
     """One full cycle of pairwise plane rotations, in place.
 
-    b' and o' are held as one contiguous d x (p + d) row block, so a plane
-    (j, k) reads two rows and rotates both with a single 2 x 2 product.
+    b' and o' are held as one d x (p + d) row block, stored column-major,
+    and plane (j, k) reads and rotates rows j and k. The planes run in the
+    cyclic order (0, 1), (0, 2), ..., (d - 2, d - 1), one level j + k at a
+    time: the planes of a level share no row, and the planes touching row j,
+    (0, j), ..., (j - 1, j), (j, j + 1), ..., (j, d - 1), have strictly
+    increasing levels, so every plane sees the same two rows as in a
+    plane-by-plane loop. A level forms sum w and w . w of all its planes in
+    two numpy calls, takes each angle with the scalar ``_plane_angle`` and
+    ``math`` trig, and rotates its planes with a nonzero angle in one batched
+    2 x 2 product. The reductions see one contiguous w per plane and the
+    product sees column-major row pairs, as in the plane-by-plane loop, so
+    both round the same way, signed zeros and subnormals included.
     """
     p, d = b.shape
     rows = np.hstack([b.T, o.T])
-    for j in range(d - 1):
-        for k in range(j + 1, d):
-            theta = _plane_angle(rows[j, :p], rows[k, :p], kappa)
-            if theta == 0.0:
-                continue
-            ct, st = math.cos(theta), math.sin(theta)
-            pair = rows[j : k + 1 : k - j]  # view of rows j and k
-            pair[...] = np.array([[ct, st], [-st, ct]]) @ pair
+    for pairs in _levels(d):
+        block = rows.T.take(pairs, axis=1).transpose(1, 2, 0)  # (m, 2, p + d)
+        w = np.ascontiguousarray((block[:, 0, :p] + 1j * block[:, 1, :p]) ** 2)
+        sums = w.sum(axis=1).tolist()
+        squares = np.matmul(w[:, None, :], w[:, :, None]).ravel().tolist()
+        turned, turns = [], []
+        for i, (s, sq) in enumerate(zip(sums, squares)):
+            theta = _plane_angle(s, sq, kappa)
+            if theta != 0.0:
+                ct, st = math.cos(theta), math.sin(theta)
+                turned.append(i)
+                turns.append(((ct, st), (-st, ct)))
+        if not turns:
+            continue
+        if len(turns) < len(pairs):
+            pairs = pairs[turned]
+            block = block[turned]
+        rows[pairs] = np.array(turns) @ block
     b[...] = rows[:, :p].T
     o[...] = rows[:, p:].T
 
@@ -150,8 +187,11 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     stays zero and the row of a variable that deflation has explained away
     cannot steer the rotation. Extra restarts
     start from random orthogonal matrices; the best final criterion wins,
-    ties broken by restart index; ``restarts`` must be at least 1. A NaN or
-    infinite entry raises ``NonFiniteInput``.
+    ties broken by restart index; ``restarts`` must be at least 1. The
+    sweeps are a local search: with one restart, on input without a clear
+    simple structure, they can stop in a worse optimum than a
+    gradient-projection rotation from the identity. A NaN or infinite entry
+    raises ``NonFiniteInput``.
     """
     a = np.asarray(a, float)
     p, d = a.shape

@@ -1,5 +1,7 @@
 """Crawford-Ferguson / Orthomax rotation: invariants and oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,10 @@ from simpca import (
     rotate,
     run_simpca,
 )
+from simpca import rotation
 from simpca.errors import NonFiniteInput
 from simpca.report import ingest_csv
-from simpca.rotation import _plane_angle
+from simpca.rotation import _levels, _plane_angle, _random_orthogonal, _sweep
 
 from conftest import EUROJOBS, random_data
 
@@ -124,6 +127,11 @@ def test_two_column_rotation_matches_grid_search():
         assert cf_value(res.b, kappa) <= best + 1e-6
 
 
+def plane_angle(u, v, kappa):
+    w = (u + 1j * v) ** 2
+    return _plane_angle(complex(w.sum()), complex(w @ w), kappa)
+
+
 def _plane_value(u, v, kappa, theta):
     ct, st = np.cos(theta), np.sin(theta)
     return cf_value(np.column_stack([u * ct + v * st, -u * st + v * ct]), kappa)
@@ -151,7 +159,7 @@ def test_plane_angle_matches_harmonic_fit():
         u, v = rng.standard_normal((2, p)) * rng.uniform(0.1, 10.0)
         kappa = (0.0, 1.0, float(rng.uniform()))[trial % 3]
         scale = max(1.0, _plane_value(u, v, kappa, 0.0))
-        got = _plane_value(u, v, kappa, _plane_angle(u, v, kappa))
+        got = _plane_value(u, v, kappa, plane_angle(u, v, kappa))
         ref = _plane_value(u, v, kappa, harmonic_fit_angle(u, v, kappa))
         assert got == pytest.approx(ref, abs=1e-12 * scale)
         assert got <= _plane_value(u, v, kappa, 0.0) + 1e-12 * scale
@@ -161,8 +169,118 @@ def test_plane_angle_flat_plane_is_zero():
     # W = 0: two zero columns, and (at kappa = 1) a one-entry column beside a
     # zero column, where the criterion does not change under rotation
     zero = np.zeros(4)
-    assert _plane_angle(zero, zero, 0.3) == 0.0
-    assert _plane_angle(zero, np.array([0.0, 0.0, 2.0, 0.0]), 1.0) == 0.0
+    assert plane_angle(zero, zero, 0.3) == 0.0
+    assert plane_angle(zero, np.array([0.0, 0.0, 2.0, 0.0]), 1.0) == 0.0
+
+
+def cyclic_sweep(b, o, kappa):
+    """The sweep as one plane at a time in the cyclic order (0, 1), (0, 2),
+    ..., (d - 2, d - 1): the oracle for the level-by-level ``_sweep``."""
+    p, d = b.shape
+    rows = np.hstack([b.T, o.T])
+    for j in range(d - 1):
+        for k in range(j + 1, d):
+            theta = plane_angle(rows[j, :p], rows[k, :p], kappa)
+            if theta == 0.0:
+                continue
+            ct, st = math.cos(theta), math.sin(theta)
+            pair = rows[j : k + 1 : k - j]  # view of rows j and k
+            pair[...] = np.array([[ct, st], [-st, ct]]) @ pair
+    b[...] = rows[:, :p].T
+    o[...] = rows[:, p:].T
+
+
+def assert_same_bits(x, y):
+    assert np.array_equal(x, y)
+    assert np.array_equal(np.signbit(x), np.signbit(y))
+
+
+def test_level_schedule_is_the_cyclic_order_per_row():
+    for d in range(2, 41):
+        levels = _levels(d)
+        assert len(levels) == 2 * d - 3
+        planes = [tuple(int(r) for r in pair) for level in levels for pair in level]
+        # every plane j < k exactly once
+        assert sorted(planes) == [(j, k) for j in range(d - 1) for k in range(j + 1, d)]
+        # no row twice within one level
+        for level in levels:
+            assert len(set(level.ravel().tolist())) == level.size
+        # each row meets its planes in the same order as in the cyclic loop
+        cyclic = sorted(planes)
+        for row in range(d):
+            assert [q for q in planes if row in q] == [q for q in cyclic if row in q]
+
+
+def sweep_inputs(rng, count):
+    """Coefficient blocks of many shapes, some with rounded entries (exact
+    ties and flat planes), zero rows, zero columns, zeros of both signs and
+    entries spread down to the subnormal range."""
+
+    def zeros(shape):
+        # zeros of one sign, or of random signs
+        if rng.random() < 0.5:
+            return np.full(shape, rng.choice([0.0, -0.0]))
+        return rng.choice([0.0, -0.0], size=shape)
+
+    for trial in range(count):
+        p = int(rng.integers(2, 81))
+        d = int(rng.integers(2, 25))
+        o = _random_orthogonal(d, rng) if trial % 6 == 5 else np.eye(d)
+        b = rng.standard_normal((p, d)) * rng.uniform(0.1, 10.0) @ o
+        if trial % 3 == 0:
+            b = np.round(b, int(rng.integers(0, 2)))
+        if trial % 4 == 1:
+            i = rng.integers(0, p, size=int(rng.integers(1, p + 1)))
+            b[i] = zeros((len(i), d))
+        if trial % 5 == 2:
+            k = rng.integers(0, d, size=int(rng.integers(1, d + 1)))
+            b[:, k] = zeros((p, len(k)))
+        if trial % 7 == 3:
+            mask = rng.random((p, d)) < (1.0 if trial % 2 else 0.5)
+            b[mask] = zeros(int(mask.sum()))
+        if trial % 8 == 6:
+            b *= 10.0 ** rng.integers(-320, 1, size=(p, d))  # down to subnormal
+        kappa = (0.0, 0.5, 1.0, 1.0 / p, float(rng.uniform()))[trial % 5]
+        yield b, o, kappa
+
+
+def test_sweep_matches_cyclic_oracle_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for b, o, kappa in sweep_inputs(rng, 400):
+        ref_b, ref_o = b.copy(), o.copy()
+        for _ in range(int(rng.integers(1, 6))):
+            _sweep(b, o, kappa)
+            cyclic_sweep(ref_b, ref_o, kappa)
+        assert_same_bits(b, ref_b)
+        assert_same_bits(o, ref_o)
+
+
+def test_rotate_matches_cyclic_oracle(monkeypatch):
+    rng = np.random.default_rng(15)
+    inputs = []
+    for trial in range(8):
+        p = int(rng.integers(6, 25))
+        d = int(rng.integers(2, min(p, 7) + 1))
+        a = rng.standard_normal((p, d))
+        if trial % 2:
+            a[int(rng.integers(p))] = 0.0  # a zero row, kept zero by Kaiser
+        inputs.append(a)
+    criteria = (RotationCriterion.varimax(), RotationCriterion.crawford_ferguson(0.5))
+    cases = [
+        (a, criterion, kaiser, restarts)
+        for a in inputs
+        for criterion in criteria
+        for kaiser in (False, True)
+        for restarts in (1, 3)
+    ]
+    results = [rotate(a, c, kaiser=k, restarts=r, seed=5) for a, c, k, r in cases]
+    monkeypatch.setattr(rotation, "_sweep", cyclic_sweep)
+    for (a, c, k, r), got in zip(cases, results):
+        ref = rotate(a, c, kaiser=k, restarts=r, seed=5)
+        assert_same_bits(got.b, ref.b)
+        assert_same_bits(got.o, ref.o)
+        assert_same_bits(got.criterion_trace, ref.criterion_trace)
+        assert (got.sweeps_used, got.converged) == (ref.sweeps_used, ref.converged)
 
 
 def gpa_rotation(a, value_and_gradient, tol=1e-5, max_iter=500):
