@@ -191,6 +191,14 @@ def _support_svd(a):
     return u[:, :r], s[:r], vt[:r].T, in_span
 
 
+def _drop_r2(rr, beta, h, yy):
+    """R^2 of the fit on the support A less each of its columns i,
+    1 - (rr + beta_i^2 / h_i) / yy, with rr = |b - P_A b|^2, beta the
+    coefficients of b on A, h_i = ((A'A)^+)_ii (inf for a column in the
+    span of the others, which costs nothing to drop) and yy = |b|^2."""
+    return np.maximum(0.0, 1.0 - (rr + beta**2 / h) / yy)
+
+
 def r2_add_drop(a, b, c=None):
     """R^2 of b on the columns of a with one column added or one dropped.
 
@@ -210,11 +218,10 @@ def r2_add_drop(a, b, c=None):
     uy = u.T @ b
     resid = b - u @ uy
     rr = float(resid @ resid)
-    beta = v @ (uy / s)
-    cost = np.zeros(a.shape[1])
     own = ~in_span
-    cost[own] = beta[own] ** 2 / np.sum((v[own] / s) ** 2, axis=1)
-    drop = np.maximum(0.0, 1.0 - (rr + cost) / yy)
+    h = np.full(a.shape[1], np.inf)
+    h[own] = np.sum((v[own] / s) ** 2, axis=1)
+    drop = _drop_r2(rr, v @ (uy / s), h, yy)
     if c is None:
         return None, drop
     z = c - u @ (u.T @ c)

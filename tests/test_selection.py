@@ -345,6 +345,31 @@ def _patched(**attrs):
             setattr(selection, name, value)
 
 
+def _backward_loop(x, target, alpha, start, best_removal):
+    """backward_select as a loop of one ``best_removal`` call per step, the
+    way it ran before it downdated one fit; start as backward_select
+    resolves it."""
+    values = np.asarray(x, float)
+    n, p = values.shape
+    if start == "auto":
+        start = "full" if p <= n else "forward"
+    if start == "full":
+        start = range(p)
+    elif start == "forward":
+        start = forward_select(x, target, alpha).indices
+    chosen = list(start)
+    r2 = r_squared(values[:, chosen], target)
+    trace = [("+", i, None) for i in chosen]
+    while len(chosen) > 1:
+        best_i, best_r2 = best_removal(values, target, chosen, chosen)
+        if best_i is None or best_r2 < alpha:
+            break
+        chosen.remove(best_i)
+        r2 = best_r2
+        trace.append(("-", best_i, r2))
+    return selection.SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
+
+
 def _kernel_and_oracle(kind, x, target, alpha, entry, exit, cap):
     """(kernel run, lstsq run) of one selection strategy."""
     if kind == "forward":
@@ -354,7 +379,12 @@ def _kernel_and_oracle(kind, x, target, alpha, entry, exit, cap):
     else:
         run = lambda: stepwise_select(x, target, alpha, entry, exit, cap)  # noqa: E731
     with _patched(_best_addition=_lstsq_best_addition, _best_removal=_lstsq_best_removal):
-        want = run()
+        # backward_select no longer calls _best_removal, so its oracle is
+        # its own loop of one lstsq removal per step
+        if kind == "backward":
+            want = _backward_loop(x, target, alpha, "auto", _lstsq_best_removal)
+        else:
+            want = run()
     return run(), want
 
 
@@ -436,3 +466,119 @@ def test_selection_matches_lstsq_oracle_on_integer_matrices(inputs):
     values, target, alpha, entry, exit, cap = inputs
     _assert_same_selection(values, target, alpha, entry, exit, cap)
     _assert_same_vif(values, list(range(values.shape[1])))
+
+
+# --- Differential oracle: one r2_add_drop per backward step --------------
+# backward_select downdates the fit of one seeded SVD from step to step.
+# The loop it replaced, one r2_add_drop of the whole support per step, must
+# give the same supports and trace steps and R^2 to 1e-12 relative, near
+# ties included: those the downdate leaves to a fresh SVD, which scores them
+# bit for bit as the loop does.
+
+
+def _assert_same_backward(x, target, alpha, start="auto"):
+    got = backward_select(x, target, alpha, start)
+    want = _backward_loop(x, target, alpha, start, selection._best_removal)
+    assert got.indices == want.indices
+    assert _steps(got) == _steps(want)
+    r2s = [(g[2], w[2]) for g, w in zip(got.trace, want.trace)] + [(got.r2, want.r2)]
+    for g, w in r2s:
+        assert g == w if w is None else g == pytest.approx(w, rel=1e-12, abs=0)
+
+
+@contextmanager
+def _counting_downdates():
+    calls = []
+    downdate = selection._downdate
+
+    def counted(*state):
+        calls.append(state)
+        return downdate(*state)
+
+    with _patched(_downdate=counted):
+        yield calls
+
+
+def test_backward_matches_per_step_loop_on_factor_data():
+    rng = np.random.default_rng(17)
+    with _counting_downdates() as downdates:
+        for case in range(40):
+            p = int(rng.integers(4, 61))
+            n = int(rng.integers(p, 3 * p + 2))
+            x = random_data(rng, n=n, p=p)
+            weights = rng.standard_normal(p) * (rng.random(p) < 0.5)
+            target = x.values @ weights + 0.3 * rng.standard_normal(n)
+            _assert_same_backward(x, target - target.mean(), (0.5, 0.8, 0.95, 0.999)[case % 4])
+    # the downdate ran, so the agreement is not that of fresh SVDs alone
+    assert len(downdates) > 500
+    # a near-duplicate column (sigma_1 / sigma_k about 1e4 to 1e8): only the
+    # condition bound keeps such a support off the downdate
+    for case in range(20):
+        p = int(rng.integers(6, 30))
+        n = int(rng.integers(p + 2, 3 * p))
+        x = random_data(rng, n=n, p=p).values
+        i, j = rng.choice(p, 2, replace=False)
+        x[:, j] = x[:, i] + 10.0 ** -rng.integers(4, 8) * rng.standard_normal(n)
+        target = x @ (rng.standard_normal(p) * (rng.random(p) < 0.5))
+        _assert_same_backward(x, target + 0.3 * rng.standard_normal(n), (0.5, 0.9)[case % 2])
+    # p > n: backward from the forward solution
+    for _ in range(10):
+        p = int(rng.integers(8, 41))
+        x = random_data(rng, n=int(rng.integers(5, p)), p=p)
+        target = x.values @ rng.standard_normal(p)
+        _assert_same_backward(x, target, 0.9, start="forward")
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(integer_selection_inputs())
+def test_backward_matches_per_step_loop_on_integer_matrices(inputs):
+    values, target, alpha, *_ = inputs
+    _assert_same_backward(values, target, alpha)
+
+
+def test_backward_exact_ties_match_per_step_loop():
+    # orthogonal +-1 columns, |x_i|^2 = 8, so dropping column i from the
+    # fit of y = X c costs c_i^2 / |c|^2 of R^2 exactly
+    h = np.array([[1.0]])
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    c = np.array([0.0, 1.0, 1.0, 2.0, 4.0, 8.0, 8.0, 16.0])
+    y = h @ c
+    cc = c @ c
+    with _counting_downdates() as downdates:
+        # columns 1 and 2, and 5 and 6, cost the same; dropping 0 .. 3, or
+        # 0 .. 4, leaves an R^2 of exactly alpha; a downdated state meets
+        # each of these ties
+        for alpha in (0.5, 1 - 6 / cc, 1 - 22 / cc):
+            _assert_same_backward(h, y, alpha)
+            got = backward_select(h, y, alpha)
+            assert {i for op, i, _ in got.trace if op == "-"} >= {0, 1, 2}
+        assert downdates
+    # two identical useful columns: the support is rank deficient
+    dup = np.vstack([h, h])[:, [0, 1, 2, 3, 4, 5, 6, 7, 7]]
+    _assert_same_backward(dup, dup @ np.append(c, 16.0), 0.9)
+    assert backward_select(dup, dup @ np.append(c, 16.0), 0.9).trace[9][:2] == ("-", 0)
+
+
+@pytest.mark.parametrize("start, problem", [
+    ([0, 0, 1], "index 0 appears more than once"),
+    ([-1, 0, 1], "index -1 is not a column"),
+    ([7, 0], "index 7 is not a column"),
+    ("fulll", "unknown start 'fulll'"),
+])
+def test_backward_rejects_bad_start(start, problem):
+    rng = np.random.default_rng(18)
+    x = random_data(rng, n=10, p=5)
+    with pytest.raises(ValueError, match=problem):
+        backward_select(x, x.values[:, 0].copy(), 0.9, start=start)
+
+
+def test_backward_takes_an_array_start():
+    # an ndarray compares with 'auto' or 'full' elementwise, so the start
+    # must be told apart from the strings by its type
+    rng = np.random.default_rng(18)
+    x = random_data(rng, n=10, p=5)
+    target = x.values[:, 0] + x.values[:, 1]
+    got = backward_select(x, target, 0.9, start=np.array([0, 1, 2]))
+    assert got == backward_select(x, target, 0.9, start=[0, 1, 2])
+    assert got.indices == (0, 1)
