@@ -41,6 +41,7 @@ later one wins only by more than _GAIN_EPS, so ties go to the lowest index
 (additions) or the first in the chosen order (removals).
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,7 +255,7 @@ def backward_select(x, target, alpha, start="auto"):
 
     start: 'full' (all variables; requires p <= n), 'forward' (seed from the
     forward solution at alpha), 'auto' (full when p <= n, else forward), or
-    an explicit sequence of distinct column indices in 0 .. p-1.
+    a non-empty sequence of distinct integer column indices in 0 .. p-1.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
@@ -273,12 +274,19 @@ def backward_select(x, target, alpha, start="auto"):
         else:
             chosen = list(forward_select(x, target, alpha).indices)
     else:
-        chosen = [int(i) for i in start]
-        for k, i in enumerate(chosen):
+        chosen = []
+        for i in start:
+            try:
+                i = operator.index(i)
+            except TypeError:
+                raise ValueError(f"start index {i} is not an integer") from None
             if not 0 <= i < p:
                 raise ValueError(f"start index {i} is not a column of 0 .. {p - 1}")
-            if i in chosen[:k]:
+            if i in chosen:
                 raise ValueError(f"start index {i} appears more than once")
+            chosen.append(i)
+        if not chosen:
+            raise ValueError("start holds no column index")
     r2 = r_squared(values[:, chosen], target)
     trace = [("+", i, None) for i in chosen]
     y = np.asarray(target, float)

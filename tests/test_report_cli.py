@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ def test_cli_pca_tsv(tmp_path, capsys):
         ]
     )
     assert code == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "# pca vexp" in text
     assert "pc1\t81.5" in text
 
@@ -205,7 +206,7 @@ def test_cli_simpca_json(tmp_path):
         ]
     )
     assert code == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     comp1 = data["components"][0]
     assert comp1["cardinality"] == 1
     assert comp1["variables"][0][0] == "agriculture"
@@ -230,7 +231,7 @@ def test_cli_rotate(tmp_path):
         ]
     )
     assert code == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0].split("\t") == ["variable", "comp1", "comp2", "comp3"]
     assert len(lines) == 11  # header + 9 variables + convergence note
 

@@ -244,18 +244,82 @@ def sweep_inputs(rng, count):
         yield b, o, kappa
 
 
+def lanes_of(b, o, rng):
+    """1-4 lanes of the shape of (b, o): the input itself, then copies with
+    their columns permuted and signs flipped, their rows permuted, or both,
+    so that every lane keeps the input's zeros, ties and subnormals but
+    turns its own planes."""
+    p, d = b.shape
+    lanes = [(b, o)]
+    for _ in range(int(rng.integers(0, 4))):
+        cols = rng.permutation(d)
+        signs = rng.choice([-1.0, 1.0], size=d)
+        rows = rng.permutation(p) if rng.random() < 0.5 else np.arange(p)
+        lanes.append((b[rows][:, cols] * signs, o[:, cols] * signs))
+    return [(lb.copy(), lo.copy()) for lb, lo in lanes]
+
+
 def test_sweep_matches_cyclic_oracle_bit_for_bit():
+    # every lane of a stacked sweep gets the bits of the plane-by-plane loop
+    # on that lane alone
     rng = np.random.default_rng(14)
+    stacked = 0
     for b, o, kappa in sweep_inputs(rng, 400):
-        ref_b, ref_o = b.copy(), o.copy()
+        p, d = b.shape
+        lanes = lanes_of(b, o, rng)
+        stacked += len(lanes) > 1
+        refs = [(lb.copy(), lo.copy()) for lb, lo in lanes]
+        rows = np.vstack([rotation._lane_rows(lb, lo) for lb, lo in lanes])
         for _ in range(int(rng.integers(1, 6))):
-            _sweep(b, o, kappa)
-            cyclic_sweep(ref_b, ref_o, kappa)
-        assert_same_bits(b, ref_b)
-        assert_same_bits(o, ref_o)
+            _sweep(rows, p, kappa)
+            for ref_b, ref_o in refs:
+                cyclic_sweep(ref_b, ref_o, kappa)
+        for lane, (ref_b, ref_o) in enumerate(refs):
+            assert_same_bits(rows[lane * d : (lane + 1) * d, :p].T, ref_b)
+            assert_same_bits(rows[lane * d : (lane + 1) * d, p:].T, ref_o)
+    assert stacked > 250
 
 
-def test_rotate_matches_cyclic_oracle(monkeypatch):
+def sequential_rotate(a, criterion, kaiser, tol, max_sweeps, restarts, seed):
+    """``rotate`` as one restart after another, each swept plane by plane
+    with ``cyclic_sweep``: the oracle for the lanes. Returns the winning
+    result's fields and every restart's (sweeps, converged)."""
+    p, d = a.shape
+    if kaiser:
+        row_norms = np.linalg.norm(a, axis=1)
+        row_norms[row_norms <= p * rotation.EPS * row_norms.max()] = 1.0
+        work = a / row_norms[:, None]
+    else:
+        work = a
+    kappa = criterion.kappa(p)
+    minimize = criterion.family == "crawford-ferguson"
+    rng = np.random.default_rng(seed)
+    best, runs = None, []
+    for restart in range(restarts):
+        o = np.eye(d) if restart == 0 else _random_orthogonal(d, rng)
+        b = work @ o
+        trace = [rotation._trace_value(b, criterion, kappa)]
+        converged, sweeps = False, 0
+        for sweeps in range(1, max_sweeps + 1):
+            cyclic_sweep(b, o, kappa)
+            trace.append(rotation._trace_value(b, criterion, kappa))
+            if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
+                converged = True
+                break
+        runs.append((sweeps, converged))
+        if (
+            best is None
+            or (minimize and trace[-1] < best[2][-1])
+            or (not minimize and trace[-1] > best[2][-1])
+        ):
+            best = (b, o, trace, sweeps, converged, restart)
+    b, o, trace, sweeps, converged, restart = best
+    if kaiser:
+        b = b * row_norms[:, None]
+    return (b, o, np.asarray(trace), sweeps, converged, restart), runs
+
+
+def test_rotate_matches_cyclic_oracle():
     rng = np.random.default_rng(15)
     inputs = []
     for trial in range(8):
@@ -266,21 +330,51 @@ def test_rotate_matches_cyclic_oracle(monkeypatch):
             a[int(rng.integers(p))] = 0.0  # a zero row, kept zero by Kaiser
         inputs.append(a)
     criteria = (RotationCriterion.varimax(), RotationCriterion.crawford_ferguson(0.5))
-    cases = [
-        (a, criterion, kaiser, restarts)
-        for a in inputs
-        for criterion in criteria
-        for kaiser in (False, True)
-        for restarts in (1, 3)
-    ]
-    results = [rotate(a, c, kaiser=k, restarts=r, seed=5) for a, c, k, r in cases]
-    monkeypatch.setattr(rotation, "_sweep", cyclic_sweep)
-    for (a, c, k, r), got in zip(cases, results):
-        ref = rotate(a, c, kaiser=k, restarts=r, seed=5)
-        assert_same_bits(got.b, ref.b)
-        assert_same_bits(got.o, ref.o)
-        assert_same_bits(got.criterion_trace, ref.criterion_trace)
-        assert (got.sweeps_used, got.converged) == (ref.sweeps_used, ref.converged)
+    staggered = at_limit = mixed = 0
+    for a in inputs:
+        for criterion in criteria:
+            for kaiser in (False, True):
+                for restarts in (1, 2, 3, 5):
+                    for tol, max_sweeps in ((1e-8, 1000), (1e-5, 6), (1e-3, 3), (0.0, 2)):
+                        got = rotate(a, criterion, kaiser=kaiser, tol=tol,
+                                     max_sweeps=max_sweeps, restarts=restarts, seed=5)
+                        want, runs = sequential_rotate(a, criterion, kaiser, tol,
+                                                       max_sweeps, restarts, seed=5)
+                        assert_same_bits(got.b, want[0])
+                        assert_same_bits(got.o, want[1])
+                        assert_same_bits(got.criterion_trace, want[2])
+                        assert (got.sweeps_used, got.converged) == want[3:5]
+                        assert got.restart == want[5]
+                        ended = {sweeps for sweeps, converged in runs if converged}
+                        staggered += len(ended) > 1
+                        at_limit += any(not converged for _, converged in runs)
+                        mixed += len({converged for _, converged in runs}) > 1
+    # lanes retired at different sweeps, lanes ran to the limit, and both
+    # happened within one call
+    assert staggered > 20 and at_limit > 20 and mixed > 20
+
+
+def test_rotate_names_the_winning_restart():
+    # restart r is a single-start rotation of a @ (r-th start): the winner's
+    # b is that run's b, and no other start ends at a better criterion
+    rng = np.random.default_rng(16)
+    winners = set()
+    for trial in range(20):
+        p = int(rng.integers(5, 13))
+        d = int(rng.integers(2, min(p, 5) + 1))
+        a = rng.standard_normal((p, d))
+        criterion = (RotationCriterion.varimax(), RotationCriterion.crawford_ferguson(1.0))[trial % 2]
+        got = rotate(a, criterion, restarts=4, seed=trial)
+        draws = np.random.default_rng(trial)
+        starts = [np.eye(d)] + [_random_orthogonal(d, draws) for _ in range(3)]
+        singles = [rotate(a @ start, criterion) for start in starts]
+        assert np.array_equal(got.b, singles[got.restart].b)
+        assert_same_bits(got.criterion_trace, singles[got.restart].criterion_trace)
+        finals = [single.criterion_trace[-1] for single in singles]
+        best = min(finals) if criterion.family == "crawford-ferguson" else max(finals)
+        assert finals.index(best) == got.restart
+        winners.add(got.restart)
+    assert len(winners) > 1
 
 
 def gpa_rotation(a, value_and_gradient, tol=1e-5, max_iter=500):

@@ -565,6 +565,9 @@ def test_backward_exact_ties_match_per_step_loop():
     ([-1, 0, 1], "index -1 is not a column"),
     ([7, 0], "index 7 is not a column"),
     ("fulll", "unknown start 'fulll'"),
+    ([], "start holds no column index"),
+    ([0.7, 1], "index 0.7 is not an integer"),
+    (np.array([0.0, 1.0]), "index 0.0 is not an integer"),
 ])
 def test_backward_rejects_bad_start(start, problem):
     rng = np.random.default_rng(18)
