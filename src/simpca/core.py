@@ -1,8 +1,8 @@
 """Dense linear-algebra substrate shared by the rest of the package.
 
 Centering/scaling of raw observation matrices, SVD with numerical rank
-control, minimum-norm least squares, the add-one/drop-one R^2 kernel of
-support selection, and variance-inflation diagnostics.
+control, the one least-squares kernel behind every fit, R^2, deflation and
+null space (``_ls_svd``), add-one/drop-one R^2 and variance inflation.
 Everything here is a pure function of immutable inputs.
 """
 
@@ -146,49 +146,69 @@ def _rank_cut(s, v, m):
     return s[:r], v[:, :r]
 
 
+# The least-squares cut: a fit on k columns keeps the singular values above
+# _LS_CUT * k * sigma_1. LAPACK rounds an exact zero singular value up to
+# about 2.6 eps sigma_1 (duplicate columns at n = 3000), above a cut of
+# k * eps * sigma_1, so the cut keeps a 16-fold margin over that one.
+_LS_CUT = 16 * EPS
+
+
+def _ls_svd(a):
+    """Thin SVD of a at the least-squares cut, the one kernel of every fit.
+
+    Returns (U_r, s_r, V_r, N, h): the r triplets above _LS_CUT * k *
+    sigma_1 (k columns; r = 0 for a zero or empty a), the k x (k - r)
+    null-space block N of V, and h_j = ((A'A)^+)_jj. Column j is a
+    combination of the others when its row of N is nonzero, above eps in
+    squared norm (an independent column's row is rounding of order
+    (eps * sigma_1 / sigma_r)^2); it costs nothing to drop, and h_j = inf.
+    """
+    n, k = a.shape
+    # with n < k, V needs its full k x k block to hold the null space
+    u, s, vt = np.linalg.svd(a, full_matrices=n < k)
+    r = int(np.sum(s > _LS_CUT * k * s[0])) if s.size else 0
+    s, v, null = s[:r], vt[:r].T, vt[r:].T
+    own = np.sum(null**2, axis=1) <= EPS
+    h = np.full(k, np.inf)
+    h[own] = np.sum((v[own] / s) ** 2, axis=1)
+    return u[:, :r], s, v, null, h
+
+
+def _ls_state(a, b):
+    """Least-squares state of b on the columns of a from one ``_ls_svd``:
+    (U_r, s_r, V_r, resid, beta, h) with resid = b - U_r U_r'b and beta the
+    minimum-norm coefficients."""
+    u, s, v, _, h = _ls_svd(a)
+    uy = u.T @ b
+    return u, s, v, b - u @ uy, v @ (uy / s), h
+
+
 def solve_ls(a, b):
     """Minimum-norm least-squares solution of a @ coef ~ b.
 
-    Rank deficiency is handled by the SVD pseudo-inverse with singular
-    values below k * eps * sigma_1 treated as zero.
+    Rank deficiency is handled by the SVD pseudo-inverse, V_r diag(1/s_r)
+    U_r'b, with singular values at the least-squares cut (``_ls_svd``)
+    treated as zero. ``b`` is a vector or a matrix of right-hand sides.
     """
     a = np.asarray(a, float)
-    b = np.asarray(b, float)
     if a.ndim == 1:
         a = a[:, None]
-    coef, *_ = np.linalg.lstsq(a, b, rcond=a.shape[1] * EPS)
-    return coef
+    u, s, v, _, _ = _ls_svd(a)
+    return (v / s) @ (u.T @ np.asarray(b, float))
 
 
 def r_squared(a, b):
     """Coefficient of determination of regressing b on the columns of a.
 
-    Both sides are assumed centered, so no intercept is fitted.
+    Both sides are assumed centered, so no intercept is fitted; the
+    residual is b - U_r U_r'b from ``_ls_svd``.
     """
     b = np.asarray(b, float)
     denom = float(b @ b)
     if denom == 0.0:
         return 0.0
-    resid = b - np.asarray(a, float) @ solve_ls(a, b)
+    resid = _ls_state(np.asarray(a, float), b)[3]
     return max(0.0, 1.0 - float(resid @ resid) / denom)
-
-
-def _support_svd(a):
-    """Thin SVD of a, cut where ``lstsq`` cuts it, plus its null-space rule.
-
-    Keeps the r singular triplets above k * eps * sigma_1 (k columns), the
-    cutoff ``solve_ls`` passes to ``lstsq``. ``in_span[j]`` is True when
-    column j has a nonzero row in the null-space block of V, that is, when
-    it is a combination of the other columns. A row counts as nonzero above
-    eps in squared norm; an independent column's row is rounding of order
-    (eps * sigma_1 / sigma_r)^2. Returns (U_r, s_r, V_r, in_span).
-    """
-    n, k = a.shape
-    # with n < k, V needs its full k x k block to hold the null space
-    u, s, vt = np.linalg.svd(a, full_matrices=n < k)
-    r = int(np.sum(s > k * EPS * s[0])) if s.size else 0
-    in_span = np.sum(vt[r:] ** 2, axis=0) > EPS
-    return u[:, :r], s[:r], vt[:r].T, in_span
 
 
 def _drop_r2(rr, beta, h, yy):
@@ -214,23 +234,18 @@ def r2_add_drop(a, b, c=None):
     yy = float(b @ b)
     if yy == 0.0:  # as in r_squared: a zero target has R^2 0 everywhere
         return None if c is None else np.zeros(c.shape[1]), np.zeros(a.shape[1])
-    u, s, v, in_span = _support_svd(a)
-    uy = u.T @ b
-    resid = b - u @ uy
+    u, s, _, resid, beta, h = _ls_state(a, b)
     rr = float(resid @ resid)
-    own = ~in_span
-    h = np.full(a.shape[1], np.inf)
-    h[own] = np.sum((v[own] / s) ** 2, axis=1)
-    drop = _drop_r2(rr, v @ (uy / s), h, yy)
+    drop = _drop_r2(rr, beta, h, yy)
     if c is None:
         return None, drop
     z = c - u @ (u.T @ c)
     zz = np.sum(z * z, axis=0)
     # A column already in span(a) comes out of the projection as rounding
-    # of up to about 10 eps |c_i|, above lstsq's own cutoff for the
-    # augmented matrix; 16 times that cutoff keeps such columns at gain 0.
+    # of up to about 10 eps |c_i|: the cut for the k + 1 columns of the
+    # augmented matrix keeps such columns at gain 0.
     scale = np.maximum(s[0] if s.size else 0.0, np.linalg.norm(c, axis=0))
-    new = np.sqrt(zz) > 16 * (a.shape[1] + 1) * EPS * scale
+    new = np.sqrt(zz) > _LS_CUT * (a.shape[1] + 1) * scale
     gain = np.zeros(c.shape[1])
     gain[new] = (resid @ z[:, new]) ** 2 / zz[new]
     add = np.maximum(0.0, 1.0 - (rr - gain) / yy)
@@ -252,10 +267,8 @@ def vif(x, subset=None):
         return out
     a = values[:, idx]
     s_ii = np.sum(a**2, axis=0)
-    _, s, v, in_span = _support_svd(a)
-    own = ~in_span
-    out[own] = np.maximum(0.0, 1.0 - 1.0 / (s_ii[own] * np.sum((v[own] / s) ** 2, axis=1)))
-    out[in_span] = 1.0
-    out[s_ii == 0.0] = 0.0
+    h = _ls_svd(a)[4]
+    nonzero = s_ii > 0.0
+    out[nonzero] = np.maximum(0.0, 1.0 - 1.0 / (s_ii[nonzero] * h[nonzero]))
     return out
 

@@ -80,26 +80,22 @@ def vexp_of_component(x, t):
 
 
 def deflate(x, t):
-    """Orthocomplement Q = X - T (T'T)^-1 T' X of X with respect to t.
+    """Orthocomplement Q = X - T (T'T)^+ T' X of X with respect to t.
 
     ``t`` is a score vector or a matrix with one score column per accepted
     component; the result satisfies Q't = 0 for every column. Deflating
     against a block is not the same as deflating sequentially when the
     columns are correlated, so callers tracking several components must
-    pass the whole block. Takes a DataMatrix or an array and returns an
-    array.
+    pass the whole block. Q = X - U_r U_r'X with U_r from ``core._ls_svd``
+    of T, so a rank-deficient block deflates against its span. Takes a
+    DataMatrix or an array and returns an array.
     """
     values = np.asarray(x, float)
     t = np.asarray(t, float)
-    if t.ndim == 1:
-        tt = float(t @ t)
-        if tt == 0.0:
-            raise ZeroComponent()
-        return values - np.outer(t / tt, t @ values)
-    if not np.any(np.sum(t**2, axis=0) > 0.0):
+    u = core._ls_svd(t[:, None] if t.ndim == 1 else t)[0]
+    if u.shape[1] == 0:
         raise ZeroComponent()
-    coef, *_ = np.linalg.lstsq(t, values, rcond=None)
-    return values - t @ coef
+    return values - u @ (u.T @ values)
 
 
 def rescale_coefficients(v, scaling="unit-l2", lam=None):

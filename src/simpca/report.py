@@ -156,6 +156,16 @@ class AnalysisReport:
     response_r2: tuple  # R^2 for 1..nd components, empty without response
 
 
+def _response_r2(scores, response):
+    """R^2 of the centered response on the first k score columns, for
+    k = 1 .. d; empty without a response."""
+    if response is None:
+        return ()
+    resp = np.asarray(response, float)
+    resp = resp - resp.mean()
+    return tuple(core.r_squared(scores[:, :k], resp) for k in range(1, scores.shape[1] + 1))
+
+
 def build_report(x, result, config_echo, response=None):
     """Assemble an AnalysisReport from a pipeline result."""
     total = result.total_variance
@@ -187,13 +197,6 @@ def build_report(x, result, config_echo, response=None):
         correlations = tuple(tuple(float(v) for v in row) for row in corr)
     else:
         correlations = ()
-    response_r2 = []
-    if response is not None:
-        resp = np.asarray(response, float)
-        resp = resp - resp.mean()
-        score_mat = np.column_stack([c.scores for c in result.components])
-        for k in range(1, score_mat.shape[1] + 1):
-            response_r2.append(core.r_squared(score_mat[:, :k], resp))
     return AnalysisReport(
         config=dict(config_echo),
         column_names=tuple(x.column_names),
@@ -201,7 +204,9 @@ def build_report(x, result, config_echo, response=None):
         pca_vexp_pct=tuple(100.0 * v / total for v in result.pca_vexp),
         components=tuple(comps),
         correlations=correlations,
-        response_r2=tuple(response_r2),
+        response_r2=_response_r2(
+            np.column_stack([c.scores for c in result.components]), response
+        ),
     )
 
 
@@ -209,12 +214,6 @@ def pca_report(x, d, config_echo, response=None):
     """PCA-only report: vexp spectrum, no sparse component blocks; d=None
     reports every component up to the numerical rank."""
     model = pca.fit_pca(x, d)
-    response_r2 = []
-    if response is not None:
-        resp = np.asarray(response, float)
-        resp = resp - resp.mean()
-        for k in range(1, model.lam.size + 1):
-            response_r2.append(core.r_squared(model.scores[:, :k], resp))
     return AnalysisReport(
         config=dict(config_echo),
         column_names=tuple(x.column_names),
@@ -222,7 +221,7 @@ def pca_report(x, d, config_echo, response=None):
         pca_vexp_pct=tuple(100.0 * v / model.total_variance for v in model.vexp),
         components=(),
         correlations=(),
-        response_r2=tuple(response_r2),
+        response_r2=_response_r2(model.scores, response),
     )
 
 

@@ -7,13 +7,13 @@ measured by the coefficient of determination R^2 (no intercept; everything
 is centered).
 
 Forward and stepwise selection score every candidate of a step from one
-thin SVD of the chosen columns X_A (``core.r2_add_drop``), cut at
-``lstsq``'s cutoff k * eps * sigma_1, with U_r, s_r, V_r the kept triplets
-(Miller, *Subset Selection in Regression*, ch. 3):
+thin SVD of the chosen columns X_A (``core.r2_add_drop``) at the
+least-squares cut 16 * k * eps * sigma_1 of ``core._ls_svd``, with U_r,
+s_r, V_r the kept triplets (Miller, *Subset Selection in Regression*, ch. 3):
 
 - add i: with r = y - U_r U_r'y and z_i = x_i - U_r U_r'x_i,
   R^2(A + i) = 1 - (|r|^2 - (r'z_i)^2 / |z_i|^2) / |y|^2. A candidate whose
-  |z_i| is at most 16 times the augmented matrix's cutoff is already in
+  |z_i| is within the cut for the k + 1 columns [X_A x_i] is already in
   span(X_A) up to rounding and gains 0, as the minimum-norm fit gives it.
 - drop i: with beta = V_r (U_r'y / s_r) and (S^+)_ii = sum_k V_ik^2 / s_k^2,
   R^2(A - i) = 1 - (|r|^2 + beta_i^2 / (S^+)_ii) / |y|^2. A column with a
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _drop_r2, _support_svd, r2_add_drop, r_squared
+from .core import _drop_r2, _ls_state, r2_add_drop, r_squared
 from .errors import (
     EmptySupport,
     ExhaustedSchedule,
@@ -221,14 +221,8 @@ def _seed(a, y, yy):
     """Drop scores of the support a from one SVD, bit for bit those of
     ``r2_add_drop``, and the state (rr, beta, H) of y on a to downdate, or
     None when a is rank deficient or too ill-conditioned to downdate."""
-    u, s, v, in_span = _support_svd(a)
-    uy = u.T @ y
-    resid = y - u @ uy
+    _, s, v, resid, beta, h = _ls_state(a, y)
     rr = float(resid @ resid)
-    beta = v @ (uy / s)
-    own = ~in_span
-    h = np.full(a.shape[1], np.inf)
-    h[own] = np.sum((v[own] / s) ** 2, axis=1)
     drop = _drop_r2(rr, beta, h, yy)
     if s.size < a.shape[1] or s[0] > _COND_MAX * s[-1]:
         return drop, None

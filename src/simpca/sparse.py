@@ -170,20 +170,14 @@ def cspca_component(x, q, support):
     return _finish(x, qv, support, w, sub @ w, "cspca")
 
 
-def _null_space(a):
-    """Orthonormal basis of null(a) as columns, cut as scipy's null_space."""
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > max(a.shape) * EPS * s.max(initial=0.0)))
-    return vt[rank:].T
-
-
 def uspca_component(x, q, support, previous_components=()):
     """USPCA: as CSPCA, restricted to score vectors orthogonal to all
     previously computed components' scores.
 
     The feasible weights are the null space of the m x k constraint block
-    C (row i: previous scores t_i' X_A), from one full SVD of C cut at
-    max(m, k) * eps * sigma_1; the component depends only on its span."""
+    C (row i: previous scores t_i' X_A), the null-space block of V in the
+    SVD of C at the least-squares cut (``core._ls_svd``); the component
+    depends only on its span."""
     if not support.indices:
         raise EmptySupport()
     values = np.asarray(x, float)
@@ -195,7 +189,7 @@ def uspca_component(x, q, support, previous_components=()):
     ]
     if prev:
         constraints = np.vstack([t @ sub for t in prev])
-        basis = _null_space(constraints)
+        basis = core._ls_svd(constraints)[3]
         if basis.shape[1] == 0:
             raise InfeasibleOrthogonality(len(support.indices), len(prev))
     else:

@@ -142,6 +142,20 @@ def test_solve_ls_rank_deficient_minimum_norm():
     assert np.allclose(coef, pinv_coef, atol=1e-8)
 
 
+def test_solve_ls_splits_exact_duplicates_evenly():
+    # LAPACK rounds the zero singular value of [x, x] up to about
+    # 2.5 eps sigma_1 at n = 3000 for these seeds, above a cut of
+    # k * eps * sigma_1; a fit that keeps that direction returns a split of
+    # the coefficient of order 1e13 instead of the minimum-norm halves
+    for seed in (317, 427):
+        x, b, z = np.random.default_rng(seed).standard_normal((3, 3000))
+        coef = solve_ls(np.column_stack([x, x]), b)
+        half = (x @ b) / (x @ x) / 2
+        assert coef == pytest.approx([half, half], rel=1e-10)
+        vifs = vif(np.column_stack([x, x, z]))
+        assert vifs[0] == 1.0 and vifs[1] == 1.0
+
+
 def test_r_squared_bounds_and_exact_fit():
     rng = np.random.default_rng(5)
     for _ in range(30):

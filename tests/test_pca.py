@@ -108,6 +108,34 @@ def test_deflate_orthogonality_and_vexp_split():
         assert vexp_of_component(q, t) <= 1e-7
 
 
+def test_deflate_vector_is_a_one_column_block():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        x = random_data(rng)
+        t = x.values @ rng.standard_normal(x.p)
+        assert np.array_equal(deflate(x, t), deflate(x, t[:, None]))
+
+
+def test_deflate_rank_deficient_block():
+    # a block with a duplicated column, or a column that is a multiple of
+    # another, deflates against its span
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        x = random_data(rng)
+        t = x.values @ rng.standard_normal((x.p, 2))
+        for block in (t[:, [0, 1, 0]], np.column_stack([t, -3.0 * t[:, 1]])):
+            q = deflate(x, block)
+            assert np.allclose(q.T @ block, 0.0, atol=1e-7 * np.linalg.norm(block))
+            assert np.allclose(q, deflate(x, t), rtol=0, atol=1e-9 * np.linalg.norm(x.values))
+
+
+def test_deflate_zero_block_raises():
+    x = random_data(np.random.default_rng(10))
+    for t in (np.zeros(x.n), np.zeros((x.n, 1)), np.zeros((x.n, 3)), np.zeros((x.n, 0))):
+        with pytest.raises(ZeroComponent):
+            deflate(x, t)
+
+
 def test_rescale_modes_norms():
     rng = np.random.default_rng(7)
     v = rng.standard_normal((8, 3))

@@ -294,8 +294,10 @@ def test_alpha_validation():
 
 # --- Differential oracle: one lstsq fit per candidate -------------------
 # The loops selection ran before scoring every candidate from one SVD of
-# the support. Patched in for the kernel, they must give the same supports
-# and trace steps, and R^2 to 1e-9 relative (1e-12 absolute near 0).
+# the support, each fit an lstsq cut at k * eps * sigma_1 (as core.solve_ls
+# was before it moved onto core._ls_svd). Patched in for the kernel, they
+# must give the same supports and trace steps, and R^2 to 1e-9 relative
+# (1e-12 absolute near 0).
 # Where both sides of a decision are equal in exact arithmetic (an R^2 of
 # exactly alpha, two candidates with one R^2, a duplicate column whose
 # lstsq gain is a few ulps), rounding picks the branch, differently in the
@@ -305,12 +307,32 @@ def test_alpha_validation():
 ROUNDING = 1e-12
 
 
+def _lstsq_solve_ls(a, b):
+    """lstsq's minimum-norm solution of a @ coef ~ b, cut at k * eps * sigma_1."""
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    if a.ndim == 1:
+        a = a[:, None]
+    coef, *_ = np.linalg.lstsq(a, b, rcond=a.shape[1] * np.finfo(float).eps)
+    return coef
+
+
+def _lstsq_r_squared(a, b):
+    """R^2 of b on the columns of a, from ``_lstsq_solve_ls``."""
+    b = np.asarray(b, float)
+    denom = float(b @ b)
+    if denom == 0.0:
+        return 0.0
+    resid = b - np.asarray(a, float) @ _lstsq_solve_ls(a, b)
+    return max(0.0, 1.0 - float(resid @ resid) / denom)
+
+
 def _lstsq_best_addition(values, target, chosen):
     best_i, best_r2 = None, -1.0
     for i in range(values.shape[1]):
         if i in chosen:
             continue
-        r2 = r_squared(values[:, chosen + [i]], target)
+        r2 = _lstsq_r_squared(values[:, chosen + [i]], target)
         if r2 > best_r2 + selection._GAIN_EPS:
             best_i, best_r2 = i, r2
     return best_i, best_r2
@@ -319,7 +341,7 @@ def _lstsq_best_addition(values, target, chosen):
 def _lstsq_best_removal(values, target, chosen, removable):
     best_i, best_r2 = None, -1.0
     for i in removable:
-        r2 = r_squared(values[:, [j for j in chosen if j != i]], target)
+        r2 = _lstsq_r_squared(values[:, [j for j in chosen if j != i]], target)
         if r2 > best_r2 + selection._GAIN_EPS:
             best_i, best_r2 = i, r2
     return best_i, best_r2
@@ -329,7 +351,8 @@ def _lstsq_vif(values, subset):
     if len(subset) == 1:
         return np.zeros(1)
     return np.array([
-        r_squared(values[:, [j for j in subset if j != i]], values[:, i]) for i in subset
+        _lstsq_r_squared(values[:, [j for j in subset if j != i]], values[:, i])
+        for i in subset
     ])
 
 
@@ -358,7 +381,7 @@ def _backward_loop(x, target, alpha, start, best_removal):
     elif start == "forward":
         start = forward_select(x, target, alpha).indices
     chosen = list(start)
-    r2 = r_squared(values[:, chosen], target)
+    r2 = _lstsq_r_squared(values[:, chosen], target)
     trace = [("+", i, None) for i in chosen]
     while len(chosen) > 1:
         best_i, best_r2 = best_removal(values, target, chosen, chosen)
