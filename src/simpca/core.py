@@ -156,31 +156,36 @@ _LS_CUT = 16 * EPS
 def _ls_svd(a):
     """Thin SVD of a at the least-squares cut, the one kernel of every fit.
 
-    Returns (U_r, s_r, V_r, N, h): the r triplets above _LS_CUT * k *
-    sigma_1 (k columns; r = 0 for a zero or empty a), the k x (k - r)
-    null-space block N of V, and h_j = ((A'A)^+)_jj. Column j is a
-    combination of the others when its row of N is nonzero, above eps in
-    squared norm (an independent column's row is rounding of order
-    (eps * sigma_1 / sigma_r)^2); it costs nothing to drop, and h_j = inf.
+    Returns (U_r, s_r, V_r, N): the r triplets above _LS_CUT * k * sigma_1
+    (k columns; r = 0 for a zero or empty a) and the k x (k - r)
+    null-space block N of V.
     """
     n, k = a.shape
     # with n < k, V needs its full k x k block to hold the null space
     u, s, vt = np.linalg.svd(a, full_matrices=n < k)
     r = int(np.sum(s > _LS_CUT * k * s[0])) if s.size else 0
-    s, v, null = s[:r], vt[:r].T, vt[r:].T
+    return u[:, :r], s[:r], vt[:r].T, vt[r:].T
+
+
+def _pinv_diag(s, v, null):
+    """h_j = ((A'A)^+)_jj from the kept pairs (s_r, V_r) and the null-space
+    block N of ``_ls_svd``. Column j is a combination of the others when its
+    row of N is nonzero, above eps in squared norm (an independent column's
+    row is rounding of order (eps * sigma_1 / sigma_r)^2); it costs nothing
+    to drop, and h_j = inf."""
     own = np.sum(null**2, axis=1) <= EPS
-    h = np.full(k, np.inf)
+    h = np.full(v.shape[0], np.inf)
     h[own] = np.sum((v[own] / s) ** 2, axis=1)
-    return u[:, :r], s, v, null, h
+    return h
 
 
 def _ls_state(a, b):
     """Least-squares state of b on the columns of a from one ``_ls_svd``:
-    (U_r, s_r, V_r, resid, beta, h) with resid = b - U_r U_r'b and beta the
+    (U_r, s_r, V_r, N, resid, beta) with resid = b - U_r U_r'b and beta the
     minimum-norm coefficients."""
-    u, s, v, _, h = _ls_svd(a)
+    u, s, v, null = _ls_svd(a)
     uy = u.T @ b
-    return u, s, v, b - u @ uy, v @ (uy / s), h
+    return u, s, v, null, b - u @ uy, v @ (uy / s)
 
 
 def solve_ls(a, b):
@@ -193,7 +198,7 @@ def solve_ls(a, b):
     a = np.asarray(a, float)
     if a.ndim == 1:
         a = a[:, None]
-    u, s, v, _, _ = _ls_svd(a)
+    u, s, v, _ = _ls_svd(a)
     return (v / s) @ (u.T @ np.asarray(b, float))
 
 
@@ -207,7 +212,7 @@ def r_squared(a, b):
     denom = float(b @ b)
     if denom == 0.0:
         return 0.0
-    resid = _ls_state(np.asarray(a, float), b)[3]
+    resid = _ls_state(np.asarray(a, float), b)[4]
     return max(0.0, 1.0 - float(resid @ resid) / denom)
 
 
@@ -234,22 +239,29 @@ def r2_add_drop(a, b, c=None):
     yy = float(b @ b)
     if yy == 0.0:  # as in r_squared: a zero target has R^2 0 everywhere
         return None if c is None else np.zeros(c.shape[1]), np.zeros(a.shape[1])
-    u, s, _, resid, beta, h = _ls_state(a, b)
+    u, s, v, null, resid, beta = _ls_state(a, b)
     rr = float(resid @ resid)
-    drop = _drop_r2(rr, beta, h, yy)
+    drop = _drop_r2(rr, beta, _pinv_diag(s, v, null), yy)
     if c is None:
         return None, drop
-    z = c - u @ (u.T @ c)
+    return _add_r2(u, s, resid, rr, yy, a.shape[1], c)[0], drop
+
+
+def _add_r2(u, s, resid, rr, yy, k, c):
+    """R^2 of b on the k columns of a plus each column of c, from the state
+    (U_r, s_r, resid, rr = |resid|^2) of b on a and yy = |b|^2. Returns
+    (add, U_r'c, z, |z|^2) with z = c - U_r U_r'c the residuals of c."""
+    uc = u.T @ c
+    z = c - u @ uc
     zz = np.sum(z * z, axis=0)
     # A column already in span(a) comes out of the projection as rounding
     # of up to about 10 eps |c_i|: the cut for the k + 1 columns of the
     # augmented matrix keeps such columns at gain 0.
     scale = np.maximum(s[0] if s.size else 0.0, np.linalg.norm(c, axis=0))
-    new = np.sqrt(zz) > _LS_CUT * (a.shape[1] + 1) * scale
+    new = np.sqrt(zz) > _LS_CUT * (k + 1) * scale
     gain = np.zeros(c.shape[1])
     gain[new] = (resid @ z[:, new]) ** 2 / zz[new]
-    add = np.maximum(0.0, 1.0 - (rr - gain) / yy)
-    return add, drop
+    return np.maximum(0.0, 1.0 - (rr - gain) / yy), uc, z, zz
 
 
 def vif(x, subset=None):
@@ -267,7 +279,7 @@ def vif(x, subset=None):
         return out
     a = values[:, idx]
     s_ii = np.sum(a**2, axis=0)
-    h = _ls_svd(a)[4]
+    h = _pinv_diag(*_ls_svd(a)[1:])
     nonzero = s_ii > 0.0
     out[nonzero] = np.maximum(0.0, 1.0 - 1.0 / (s_ii[nonzero] * h[nonzero]))
     return out

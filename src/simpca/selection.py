@@ -6,26 +6,64 @@ columns of the data by how well they reproduce a target score vector,
 measured by the coefficient of determination R^2 (no intercept; everything
 is centered).
 
-Forward and stepwise selection score every candidate of a step from one
-thin SVD of the chosen columns X_A (``core.r2_add_drop``) at the
-least-squares cut 16 * k * eps * sigma_1 of ``core._ls_svd``, with U_r,
-s_r, V_r the kept triplets (Miller, *Subset Selection in Regression*, ch. 3):
+Every regression strategy scores its candidates by the algebra of one
+least-squares fit of y on the chosen columns X_A (Miller, *Subset
+Selection in Regression*, ch. 3), with r the residual of y, z_i the
+residual of x_i against span(X_A), beta the coefficients and
+h_i = ((X_A'X_A)^+)_ii:
 
-- add i: with r = y - U_r U_r'y and z_i = x_i - U_r U_r'x_i,
-  R^2(A + i) = 1 - (|r|^2 - (r'z_i)^2 / |z_i|^2) / |y|^2. A candidate whose
-  |z_i| is within the cut for the k + 1 columns [X_A x_i] is already in
+- add i: R^2(A + i) = 1 - (|r|^2 - (r'z_i)^2 / |z_i|^2) / |y|^2. A candidate
+  whose |z_i| is within the least-squares cut for the k + 1 columns
+  [X_A x_i], 16 * (k + 1) * eps * max(sigma_1, |x_i|), is already in
   span(X_A) up to rounding and gains 0, as the minimum-norm fit gives it.
-- drop i: with beta = V_r (U_r'y / s_r) and (S^+)_ii = sum_k V_ik^2 / s_k^2,
-  R^2(A - i) = 1 - (|r|^2 + beta_i^2 / (S^+)_ii) / |y|^2. A column with a
-  nonzero row in the null-space block of V is a combination of the others;
-  dropping it leaves the span, and R^2, unchanged.
+- drop i: R^2(A - i) = 1 - (|r|^2 + beta_i^2 / h_i) / |y|^2. A column in
+  the span of the others has h_i = inf: dropping it leaves the span, and
+  R^2, unchanged.
 
-Backward selection takes that SVD once and then carries the least-squares
-state from step to step: rr = |r|^2, beta and H = (X_A'X_A)^-1 =
-V diag(s^-2) V'. Its first step scores the drops from the SVD, bit for bit
-as ``r2_add_drop`` does; dropping column j then downdates the state in
-O(k^2), rr += beta_j^2 / H_jj, beta <- beta_-j - H_-j,j beta_j / H_jj and
-H <- H_-j,-j - H_-j,j H_j,-j / H_jj, and the next step scores the drops
+``core.r2_add_drop`` takes all of these from one thin SVD of X_A at the
+cut of ``core._ls_svd``, and ``core.r_squared`` the R^2 of X_A itself.
+Forward, stepwise and iterative-reverse selection instead carry the fit
+from step to step (``_Fit``): an orthonormal basis Q of span(X_A), r, the
+residuals Z of every column with their squared norms, Q'y, and the map W
+with Q = X_A W (R^-1 of X_A = QR, or V S^-1 when an SVD X_A = U S V'
+seeds the fit), which gives beta = W Q'y and h as the row sums of W^2.
+Choosing column i is one Gram-Schmidt step: its carried residual z_i is
+projected off Q once more, normalized into q, and r, Z and W take q in,
+a few O(np) numpy calls where the SVD route takes an SVD and two n x p
+projections per step. One reorthogonalization is enough ("twice is
+enough", Giraud, Langou and Rozloznik, 2005): z_i has already been
+projected off every basis vector once, and a column is carried only
+while |z_i| >= |x_i| / _COND_MAX, so that pass loses at most a factor
+_COND_MAX of orthogonality and the second brings q back to eps.
+
+A carried step is certified, or retaken from a fresh SVD scored bit for
+bit as ``r2_add_drop`` (or ``r_squared``) scores it, which also seeds the
+fit again. The carried scores stand when:
+
+- X_A has full rank and kappa_F = |X_A|_F |W|_F, an upper bound on
+  sigma_1 / sigma_k, is at most _COND_MAX;
+- every free column is clearly new (|z_i| above 4 times the cut taken
+  with |X_A|_F for sigma_1, and above |x_i| / _COND_MAX) or clearly in
+  span(X_A) (|z_i| below a quarter of the cut taken with |x_i| alone);
+- the best score clears the runner-up, alpha and the stop the strategy
+  compares it with (forward's r2 + _GAIN_EPS, stepwise's entry or exit)
+  by more than _MARGIN.
+
+When a retaken step's pick is within _MARGIN of a stop taken from the
+R^2 of the previous step, and the carried fit scored that, it is scored
+afresh too, so both sides of the comparison have the bits the per-step
+loop gives them. A stepwise
+removal leaves the next step to a fresh SVD of the new support.
+
+Backward selection takes one SVD of the support, as ``r2_add_drop`` does,
+and then carries the least-squares state from step to step: rr = |r|^2,
+beta and H = (X_A'X_A)^-1 = V diag(s^-2) V'. Its first step scores the
+drops from the SVD, bit for bit as ``r2_add_drop`` does, and takes the
+starting R^2 from it as ``r_squared`` would; dropping column j then
+downdates the state in O(k^2), rr += beta_j^2 / H_jj,
+beta <- beta_-j - H_-j,j beta_j / H_jj and
+H <- H_-j,-j - H_-j,j H_j,-j / H_jj, in place on the full-size arrays
+with a mask of the active columns, and the next step scores the drops
 from it with the same formula. The state is seeded only from a support of
 full rank (so no column is in the span of the others) with
 sigma_1 / sigma_k at most _COND_MAX; the singular values of X_A less a
@@ -38,7 +76,16 @@ cannot be certified takes a fresh SVD at every step.
 
 Candidates are then scanned in order, as the per-candidate fits were: a
 later one wins only by more than _GAIN_EPS, so ties go to the lowest index
-(additions) or the first in the chosen order (removals).
+(additions) or the first in the chosen order (removals). A best score that
+beats every other by more than _GAIN_EPS is the scan's pick, so it is
+taken by argmax; a certified carried step clears its runner-up by more
+than _MARGIN, so it too is argmax's pick.
+
+Iterative-reverse selection adds columns by descending |coefficient|.
+Coefficients equal in exact arithmetic, as those of a duplicated column
+are, come out of an SVD or a rotation with different last bits, so values
+within _LS_CUT * p * max|coefficient| of their neighbour in that order are
+tied, and tied columns enter in index order.
 """
 
 import operator
@@ -46,7 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _drop_r2, _ls_state, r2_add_drop, r_squared
+from .core import _LS_CUT, _add_r2, _drop_r2, _ls_state, _pinv_diag, r_squared
 from .errors import (
     EmptySupport,
     ExhaustedSchedule,
@@ -64,6 +111,11 @@ _GAIN_EPS = 1e-15
 # twice that: with kappa <= 100, 2 * m * eps * 1e4 <= 1e-9 up to m = 225
 # downdates. On seeded factor data with kappa up to 1e3 (p <= 60) the
 # scores stayed within 0.03 m eps kappa^2 of the SVD's, a 30-fold reserve.
+# The carried fit of the other strategies is backward stable, so a score
+# is within about (k + 1) * eps * kappa * |x_i| / |z_i| of the SVD's: with
+# both factors at most 100 that is below 1.5e-10 up to k = 60 columns. On
+# seeded factor data (p <= 60) and near-duplicate columns the carried
+# scores stayed within 4 eps of the SVD's, and drop scores within 32 eps.
 _COND_MAX = 100.0
 _MARGIN = 1e-9
 
@@ -153,27 +205,43 @@ def adaptive_threshold_support(coefficients, t0, step, norm_m=2):
     raise ExhaustedSchedule(t0, step)
 
 
+def _tie_order(coefficients):
+    """Column indices by descending |coefficient|. Values within _LS_CUT * p
+    * max|coefficient| of their neighbour in that order are tied (they may
+    be equal in exact arithmetic, as a duplicate column's are), and a run
+    of ties goes in column order."""
+    a = np.abs(np.asarray(coefficients, float))
+    order = np.argsort(-a, kind="stable")
+    gaps = -np.diff(a[order]) > _LS_CUT * a.size * a.max()
+    return order[np.lexsort((order, np.cumsum(np.r_[False, gaps])))]
+
+
 def iterative_reverse_threshold(x, target, coefficients, alpha):
-    """Add variables in descending |coefficient| order until R^2 >= alpha."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    values = np.asarray(x, float)
-    order = np.argsort(-np.abs(np.asarray(coefficients, float)), kind="stable")
-    chosen = []
+    """Add variables in descending |coefficient| order, tied values in
+    index order, until R^2 >= alpha."""
+    _check_alpha(alpha)
+    fit = _Fit(np.asarray(x, float), target)
     trace = []
     r2 = 0.0
-    for i in order:
-        chosen.append(int(i))
-        r2 = r_squared(values[:, chosen], target)
-        trace.append(("+", int(i), r2))
+    for i in _tie_order(coefficients).tolist():
+        r2 = fit.append(i, alpha)
+        trace.append(("+", i, r2))
         if r2 >= alpha:
             break
-    return SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
+    return SupportSet(indices=tuple(fit.chosen), r2=r2, trace=tuple(trace))
 
 
 def _first_best(items, r2s):
     """Item with the largest R^2, scanned in order: a later item wins only
-    by more than _GAIN_EPS, so ties go to the first."""
+    by more than _GAIN_EPS, so ties go to the first. When the largest beats
+    every other by more than that, the scan picks it, and so does argmax."""
+    if len(items) == 0:
+        return None, -1.0
+    r2s = np.asarray(r2s, float)[: len(items)]
+    j = int(r2s.argmax())
+    second = np.partition(r2s, -2)[-2] if r2s.size > 1 else -1.0
+    if r2s[j] > second + _GAIN_EPS:
+        return items[j], float(r2s[j])
     best_i, best_r2 = None, -1.0
     for i, r2 in zip(items, r2s):
         if r2 > best_r2 + _GAIN_EPS:
@@ -181,67 +249,277 @@ def _first_best(items, r2s):
     return best_i, best_r2
 
 
-def _best_addition(values, target, chosen):
-    """Unchosen column giving the largest R^2 after inclusion; ties -> lowest index."""
-    candidates = [i for i in range(values.shape[1]) if i not in chosen]
-    add, _ = r2_add_drop(values[:, chosen], target, values[:, candidates])
-    return _first_best(candidates, add)
+def _check_alpha(alpha):
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must be in (0, 1]")
 
 
-def _best_removal(values, target, chosen, removable):
-    """Column of ``removable`` (a prefix of ``chosen``) whose removal keeps
-    the largest R^2; ties -> first in ``chosen``."""
-    _, drop = r2_add_drop(values[:, chosen], target)
-    return _first_best(removable, drop)
+def _cap(max_cardinality, p):
+    """The support size at which forward and stepwise selection stop."""
+    if max_cardinality is None:
+        return p
+    try:
+        cap = operator.index(max_cardinality)
+    except TypeError:
+        raise ValueError(f"max_cardinality {max_cardinality} is not an integer") from None
+    if cap < 1:
+        raise ValueError(f"max_cardinality {cap} is not at least 1")
+    return min(cap, p)
+
+
+class _Fit:
+    """Least-squares fit of y on the chosen columns X_A of x, carried from
+    step to step by Gram-Schmidt updates (see the module docstring).
+
+    Carried: an orthonormal basis Q of span(X_A) (rows of ``basis``), the
+    map W with Q = X_A W, Q'y, the residual r of y, and the residuals
+    Z = X - Q C of every column with C = Q'X (the chosen columns' entries
+    are stale). ``ok`` is False while the fit cannot be certified; every
+    step then takes a fresh SVD, which seeds the fit again. ``r2`` is the
+    selection's R^2, the score of the last step taken.
+    """
+
+    def __init__(self, values, y):
+        self.values = values
+        self.y = np.asarray(y, float)
+        self.yy = float(self.y @ self.y)
+        n, p = values.shape
+        m = min(n, p)
+        self.chosen = []
+        self.free = np.ones(p, bool)
+        self.xnorm = np.sqrt(np.sum(values * values, axis=0))
+        self.fro2 = 0.0
+        self.basis = np.empty((m, n))
+        self.w = np.zeros((m, m))
+        self.qy = np.empty(m)
+        self.cx = np.empty((m, p))
+        self.z = values.copy()
+        self.zz = self.xnorm**2
+        self.r = self.y.copy()
+        self.rr = self.yy
+        # a zero target has R^2 0 on every support, with nothing to carry
+        self.ok = self.yy > 0.0
+        self.r2 = 0.0
+        # the support of the last carried score, and the step that took r2
+        # from the carried fit, so that a retaken step can score r2 afresh
+        self._scored = self._prev = None
+
+    def best_addition(self, alpha, offset):
+        """(i, R^2 of X_A + x_i) of the best free column, ties to the lowest
+        index, as ``r2_add_drop`` would pick it. The caller compares that
+        R^2 with alpha and, once a column is chosen, with r2 + offset."""
+        stops = (alpha, self.r2 + offset) if self.chosen else (alpha,)
+        best = self._carried_addition(stops) if self.ok else None
+        self._scored = None if best is None else tuple(self.chosen)
+        if best is not None:
+            return best
+        cand = np.flatnonzero(self.free)
+        add = self._seed(cand)[0] if self.yy > 0.0 else np.zeros(cand.size)
+        return self._refreshed(_first_best(cand.tolist(), add), stops[1:])
+
+    def _carried_addition(self, stops):
+        """The certified (i, R^2) of the carried scores, or None."""
+        k = len(self.chosen)
+        norm = np.sqrt(self.zz)
+        new = self.free & (norm > self._new_cut(k))
+        # a free column that is neither new nor clearly in span(X_A)
+        if np.any(self.free & ~new & (norm > _LS_CUT * (k + 1) / 4 * self.xnorm)):
+            return None
+        rz = self.r @ self.z
+        gain = np.divide(rz * rz, self.zz, out=np.zeros(self.zz.size), where=new)
+        add = np.maximum(0.0, 1.0 - (self.rr - gain) / self.yy)
+        add[~self.free] = -1.0
+        return _certified(add, stops)
+
+    def best_removal(self, count, alpha, offset):
+        """(j, R^2 of X_A less its j-th column) of the best of the first
+        ``count`` chosen columns, ties to the first, as ``r2_add_drop``
+        would pick it. The caller compares that R^2 with alpha and with
+        r2 + offset."""
+        best = None
+        if self.ok:
+            k = len(self.chosen)
+            w = self.w[:k, :k]
+            drop = _drop_r2(self.rr, w @ self.qy[:k], np.sum(w * w, axis=1), self.yy)
+            best = _certified(drop[:count], (alpha, self.r2 + offset))
+        self._scored = None if best is None else tuple(self.chosen)
+        if best is not None:
+            return best
+        drop = self._seed(np.flatnonzero(self.free))[1] if self.yy > 0.0 else np.zeros(count)
+        return self._refreshed(_first_best(range(count), drop), (self.r2 + offset,))
+
+    def add(self, i, r2):
+        """Choose column i, which a step scored at r2."""
+        self.r2 = r2
+        self._prev = None if self._scored is None else ("+", self._scored, i)
+        self._choose(i)
+
+    def remove(self, j, r2):
+        """Drop the j-th chosen column, which a step scored at r2; the next
+        step takes a fresh SVD."""
+        self.r2 = r2
+        self._prev = None if self._scored is None else ("-", self._scored, j)
+        self.free[self.chosen.pop(j)] = True
+        self.fro2 = float(np.sum(self.xnorm[self.chosen] ** 2))
+        self.ok = False
+
+    def append(self, i, alpha):
+        """Choose column i; the R^2 of the new support, as ``r_squared``
+        gives it. The caller compares it with alpha."""
+        self._choose(i)
+        if not self.yy > 0.0:
+            return 0.0
+        if self.ok:
+            r2 = max(0.0, 1.0 - self.rr / self.yy)
+            if abs(r2 - alpha) > _MARGIN:
+                return r2
+        self._seed(np.flatnonzero(self.free))
+        return max(0.0, 1.0 - self.rr / self.yy)
+
+    def _new_cut(self, k):
+        """Residual norms above which a column is new to span(X_A) at k
+        chosen columns, with room to spare: above 4 times the cut for the
+        k + 1 columns [X_A x_i] (sigma_1 of X_A is at most its Frobenius
+        norm), and above |x_i| / _COND_MAX."""
+        return np.maximum(4 * _LS_CUT * (k + 1) * np.sqrt(self.fro2), self.xnorm / _COND_MAX)
+
+    def _choose(self, i):
+        """Move column i into X_A, extending the carried fit by one
+        Gram-Schmidt step with one reorthogonalization."""
+        k = len(self.chosen)
+        cut = self._new_cut(k)[i]
+        self.chosen.append(i)
+        self.free[i] = False
+        self.fro2 += self.xnorm[i] ** 2
+        if not self.ok:
+            return
+        q = self.basis[:k]
+        d = q @ self.z[:, i]
+        zi = self.z[:, i] - d @ q
+        rho = np.sqrt(zi @ zi)
+        if not rho > cut:
+            self.ok = False
+            return
+        qn = zi / rho
+        self.w[k, :k] = 0.0
+        self.w[:k, k] = -(self.w[:k, :k] @ (self.cx[:k, i] + d)) / rho
+        self.w[k, k] = 1.0 / rho
+        g = qn @ self.z
+        self.z -= qn[:, None] * g
+        self.zz = np.einsum("ij,ij->j", self.z, self.z)
+        t = qn @ self.r
+        self.r -= t * qn
+        self.rr = float(self.r @ self.r)
+        self.basis[k], self.cx[k], self.qy[k] = qn, g, t
+        self.ok = self._conditioned()
+
+    def _conditioned(self):
+        """Whether kappa_F(X_A) = |X_A|_F |W|_F, an upper bound on
+        sigma_1 / sigma_k, is at most _COND_MAX."""
+        k = len(self.chosen)
+        w = self.w[:k, :k]
+        return self.fro2 * np.sum(w * w) <= _COND_MAX**2
+
+    def _refreshed(self, best, stops):
+        """A retaken step's pick, after scoring r2 afresh when the carried
+        fit scored it and the pick is within _MARGIN of a stop taken from
+        r2: the comparison then needs the bits ``r2_add_drop`` gave r2."""
+        if self._prev is not None and any(abs(best[1] - t) <= _MARGIN for t in stops):
+            op, support, i = self._prev
+            cand = [c for c in range(self.free.size) if c not in support]
+            add, drop, _ = self._fresh(list(support), cand)
+            self.r2 = float(drop[i] if op == "-" else add[cand.index(i)])
+            self._prev = None
+        return best
+
+    def _fresh(self, support, cand):
+        """(add, drop, state) of one SVD of the columns ``support``: the
+        scores bit for bit as ``r2_add_drop`` gives them for the columns
+        ``cand`` and the support's own, and the state they came from."""
+        u, s, v, null, resid, beta = _ls_state(self.values[:, support], self.y)
+        rr = float(resid @ resid)
+        drop = _drop_r2(rr, beta, _pinv_diag(s, v, null), self.yy)
+        add, uc, z, zz = _add_r2(u, s, resid, rr, self.yy, len(support), self.values[:, cand])
+        return add, drop, (u, s, v, resid, rr, uc, z, zz)
+
+    def _seed(self, cand):
+        """The scores (add, drop) of a fresh SVD of X_A for the free columns
+        ``cand`` and the chosen ones, and the fit seeded from that SVD when
+        X_A has full rank and is well conditioned."""
+        add, drop, (u, s, v, resid, rr, uc, z, zz) = self._fresh(self.chosen, cand)
+        self.r, self.rr = resid, rr
+        k = len(self.chosen)
+        self.ok = s.size == k
+        if self.ok:
+            self.basis[:k] = u.T
+            self.w[:k, :k] = v / s
+            self.qy[:k] = u.T @ self.y
+            self.cx[:k, cand] = uc
+            self.z[:, cand] = z
+            self.zz[cand] = zz
+            self.ok = self._conditioned()
+        return add, drop
+
+
+def _certified(scores, stops):
+    """(argmax, best) of scores when the best clears every other score and
+    every stop by more than _MARGIN, else None."""
+    j = int(scores.argmax())
+    best = float(scores[j])
+    if np.count_nonzero(scores >= best - _MARGIN) > 1 or any(
+        abs(best - t) <= _MARGIN for t in stops
+    ):
+        return None
+    return j, best
 
 
 def forward_select(x, target, alpha, max_cardinality=None):
     """Greedy forward selection until R^2 >= alpha or the cap is reached."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
+    _check_alpha(alpha)
     values = np.asarray(x, float)
-    p = values.shape[1]
-    cap = p if max_cardinality is None else min(max_cardinality, p)
-    chosen = []
+    cap = _cap(max_cardinality, values.shape[1])
+    fit = _Fit(values, target)
+    chosen = fit.chosen
     trace = []
-    r2 = 0.0
     while len(chosen) < cap:
-        i, new_r2 = _best_addition(values, target, chosen)
-        if i is None or new_r2 <= r2 + _GAIN_EPS and chosen:
+        i, r2 = fit.best_addition(alpha, _GAIN_EPS)
+        if r2 <= fit.r2 + _GAIN_EPS and chosen:
             break
-        chosen.append(i)
-        r2 = new_r2
+        fit.add(i, r2)
         trace.append(("+", i, r2))
         if r2 >= alpha:
             break
-    return SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
+    return SupportSet(indices=tuple(chosen), r2=fit.r2, trace=tuple(trace))
 
 
 def _seed(a, y, yy):
-    """Drop scores of the support a from one SVD, bit for bit those of
-    ``r2_add_drop``, and the state (rr, beta, H) of y on a to downdate, or
-    None when a is rank deficient or too ill-conditioned to downdate."""
-    _, s, v, resid, beta, h = _ls_state(a, y)
+    """rr, the drop scores of the support a from one SVD, bit for bit those
+    of ``r2_add_drop``, and the state (rr, beta, H, active) of y on a to
+    downdate, or None when a is rank deficient or too ill-conditioned to
+    downdate."""
+    _, s, v, null, resid, beta = _ls_state(a, y)
+    h = _pinv_diag(s, v, null)
     rr = float(resid @ resid)
     drop = _drop_r2(rr, beta, h, yy)
     if s.size < a.shape[1] or s[0] > _COND_MAX * s[-1]:
-        return drop, None
+        return rr, drop, None
     w = v / s
     gram_inv = w @ w.T
     # the diagonal the first step scored with, so the downdate divides by it
     np.fill_diagonal(gram_inv, h)
-    return drop, (rr, beta, gram_inv)
+    return rr, drop, (rr, beta, gram_inv, np.ones(beta.size, bool))
 
 
-def _downdate(rr, beta, gram_inv, j):
-    """The state (rr, beta, H) of the support less its j-th column."""
-    keep = np.delete(np.arange(beta.size), j)
-    hj, bj, hjj = gram_inv[keep, j], beta[j], gram_inv[j, j]
-    return (
-        rr + bj**2 / hjj,
-        beta[keep] - hj * (bj / hjj),
-        gram_inv[np.ix_(keep, keep)] - np.outer(hj, hj / hjj),
-    )
+def _downdate(rr, beta, gram_inv, active, j):
+    """The state (rr, beta, H, active) of the support less its column j (an
+    index into the full-size state). beta and H keep their full size and
+    are updated in place, each active entry by the expression it would get
+    in the smaller state."""
+    hj, bj, hjj = gram_inv[:, j].copy(), beta[j], gram_inv[j, j]
+    active[j] = False
+    beta -= hj * (bj / hjj)
+    gram_inv -= hj[:, None] * (hj / hjj)
+    return rr + bj**2 / hjj, beta, gram_inv, active
 
 
 def backward_select(x, target, alpha, start="auto"):
@@ -251,8 +529,7 @@ def backward_select(x, target, alpha, start="auto"):
     forward solution at alpha), 'auto' (full when p <= n, else forward), or
     a non-empty sequence of distinct integer column indices in 0 .. p-1.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
+    _check_alpha(alpha)
     values = np.asarray(x, float)
     n, p = values.shape
     if isinstance(start, str):
@@ -281,29 +558,33 @@ def backward_select(x, target, alpha, start="auto"):
             chosen.append(i)
         if not chosen:
             raise ValueError("start holds no column index")
-    r2 = r_squared(values[:, chosen], target)
     trace = [("+", i, None) for i in chosen]
     y = np.asarray(target, float)
     yy = float(y @ y)
-    state = None
+    r2 = state = None
     # a zero target has R^2 0 on every support, below any alpha
     while len(chosen) > 1 and yy > 0.0:
-        if state is None:
-            drop, state = _seed(values[:, chosen], y, yy)
-        else:
-            rr, beta, gram_inv = state
-            drop = _drop_r2(rr, beta, np.diagonal(gram_inv), yy)
-            top = np.sort(drop)[-2:]
-            if top[1] - top[0] <= _MARGIN or abs(top[1] - alpha) <= _MARGIN:
-                state = None  # too close to call: retake the step from an SVD
-                continue
-        j, best_r2 = _first_best(range(len(chosen)), drop)
+        best = None
+        if state is not None:
+            rr, beta, gram_inv, active = state
+            keep = active.nonzero()[0]
+            drop = _drop_r2(rr, beta[keep], gram_inv.diagonal()[keep], yy)
+            best = _certified(drop, (alpha,))
+        if best is None:  # the first step, or too close to call: a fresh SVD
+            rr, drop, state = _seed(values[:, chosen], y, yy)
+            keep = range(len(chosen))
+            if r2 is None:  # as r_squared gives it from the same SVD
+                r2 = max(0.0, 1.0 - rr / yy)
+            best = _first_best(range(len(chosen)), drop)
+        j, best_r2 = best
         if best_r2 < alpha:
             break
         r2 = best_r2
         trace.append(("-", chosen.pop(j), r2))
         if state is not None:
-            state = _downdate(*state, j)
+            state = _downdate(*state, keep[j])
+    if r2 is None:
+        r2 = r_squared(values[:, chosen], target)
     return SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
 
 
@@ -314,40 +595,36 @@ def stepwise_select(x, target, alpha, entry=1e-6, exit=1e-6, max_cardinality=Non
     ``exit`` in R^2 is dropped (cheapest first). entry >= exit guards
     against add/remove cycling; previously visited supports end the search.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
+    _check_alpha(alpha)
     if entry < exit:
         raise ValueError("entry must be >= exit")
     values = np.asarray(x, float)
-    p = values.shape[1]
-    cap = p if max_cardinality is None else min(max_cardinality, p)
-    chosen = []
+    cap = _cap(max_cardinality, values.shape[1])
+    fit = _Fit(values, target)
+    chosen = fit.chosen
     trace = []
-    r2 = 0.0
     seen = {frozenset()}
     while len(chosen) < cap:
-        i, new_r2 = _best_addition(values, target, chosen)
-        if i is None or (chosen and new_r2 - r2 <= entry):
+        i, r2 = fit.best_addition(alpha, entry)
+        if chosen and r2 - fit.r2 <= entry:
             break
-        chosen.append(i)
-        r2 = new_r2
+        fit.add(i, r2)
         trace.append(("+", i, r2))
         # prune: removals that cost less than `exit` in R^2
         while len(chosen) > 1:
             # never undo the variable just added
-            best_j, best_r2 = _best_removal(values, target, chosen, chosen[:-1])
-            if best_j is None or r2 - best_r2 >= exit:
+            j, r2 = fit.best_removal(len(chosen) - 1, alpha, -exit)
+            if fit.r2 - r2 >= exit:
                 break
-            chosen.remove(best_j)
-            r2 = best_r2
-            trace.append(("-", best_j, r2))
+            trace.append(("-", chosen[j], r2))
+            fit.remove(j, r2)
         state = frozenset(chosen)
         if state in seen:
             break
         seen.add(state)
-        if r2 >= alpha:
+        if fit.r2 >= alpha:
             break
-    return SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
+    return SupportSet(indices=tuple(chosen), r2=fit.r2, trace=tuple(trace))
 
 
 def select_support(x, target, coefficients, strategy):

@@ -9,17 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpca import (
+    RotationCriterion,
     SelectionStrategy,
+    SimpcaPipelineConfig,
     adaptive_threshold_support,
     backward_select,
     center_scale,
     forward_select,
     iterative_reverse_threshold,
+    run_simpca,
     stepwise_select,
+    svd,
     threshold_support,
 )
 from simpca import selection
-from simpca.core import r_squared, vif
+from simpca.core import r2_add_drop, r_squared, vif
 from simpca.errors import (
     EmptySupport,
     ExhaustedSchedule,
@@ -154,6 +158,25 @@ def test_iterative_reverse_single_column_target():
     assert sup.r2 == pytest.approx(1.0, abs=1e-10)
 
 
+def test_iterative_reverse_orders_tied_coefficients_by_index():
+    # the leading loadings of a duplicated column pair are equal in exact
+    # arithmetic; whatever their last bits, the lower index enters first,
+    # also on permuted rows and on rescaled columns
+    rng = np.random.default_rng(21)
+    for case in range(40):
+        p = int(rng.integers(4, 12))
+        x = random_data(rng, n=int(rng.integers(p + 2, 40)), p=p).values
+        i, j = (int(k) for k in sorted(rng.choice(p, 2, replace=False)))
+        x[:, i] *= 10.0
+        x[:, j] = x[:, i]
+        x = x[rng.permutation(x.shape[0])]
+        if case % 2:
+            x = x * rng.uniform(0.5, 2.0)
+        loadings = svd(x)[1][:, 0]
+        got = iterative_reverse_threshold(x, x @ loadings, loadings, 1.0)
+        assert got.indices[:2] == (i, j)
+
+
 def test_forward_matches_exhaustive_per_step():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -197,6 +220,37 @@ def test_forward_max_cardinality():
     target = x.values @ rng.standard_normal(8)
     sup = forward_select(x, target, 1.0, max_cardinality=3)
     assert sup.cardinality == 3
+    assert forward_select(x, target, 1.0, max_cardinality=np.int64(3)) == sup
+
+
+@pytest.mark.parametrize("cap, problem", [
+    (0, "max_cardinality 0 is not at least 1"),
+    (-1, "max_cardinality -1 is not at least 1"),
+    (2.5, "max_cardinality 2.5 is not an integer"),
+    (np.float64(3.0), "max_cardinality 3.0 is not an integer"),
+    ("3", "max_cardinality 3 is not an integer"),
+])
+def test_max_cardinality_must_be_a_positive_integer(cap, problem):
+    rng = np.random.default_rng(8)
+    x = random_data(rng, n=20, p=8)
+    target = x.values @ rng.standard_normal(8)
+    with pytest.raises(ValueError, match=problem):
+        forward_select(x, target, 1.0, max_cardinality=cap)
+    with pytest.raises(ValueError, match=problem):
+        stepwise_select(x, target, 1.0, max_cardinality=cap)
+
+
+def test_pipeline_max_cardinality_zero_is_a_config_error():
+    # not an EmptySupport (a NumericalError, exit 4): the fault is the config
+    rng = np.random.default_rng(8)
+    x = random_data(rng, n=20, p=8)
+    for kind in ("forward", "stepwise"):
+        config = SimpcaPipelineConfig(
+            nd=1, nr=2, criterion=RotationCriterion.varimax(),
+            strategy=SelectionStrategy(kind=kind, alpha=0.9, max_cardinality=0),
+        )
+        with pytest.raises(ValueError, match="max_cardinality 0"):
+            run_simpca(x, config)
 
 
 def test_backward_from_full_set():
@@ -293,11 +347,11 @@ def test_alpha_validation():
 
 
 # --- Differential oracle: one lstsq fit per candidate -------------------
-# The loops selection ran before scoring every candidate from one SVD of
+# The loops selection ran before it scored every candidate from one SVD of
 # the support, each fit an lstsq cut at k * eps * sigma_1 (as core.solve_ls
-# was before it moved onto core._ls_svd). Patched in for the kernel, they
-# must give the same supports and trace steps, and R^2 to 1e-9 relative
-# (1e-12 absolute near 0).
+# was before it moved onto core._ls_svd). Run as loops of one lstsq fit per
+# candidate, they must give the same supports and trace steps as the
+# library, and R^2 to 1e-9 relative (1e-12 absolute near 0).
 # Where both sides of a decision are equal in exact arithmetic (an R^2 of
 # exactly alpha, two candidates with one R^2, a duplicate column whose
 # lstsq gain is a few ulps), rounding picks the branch, differently in the
@@ -368,6 +422,56 @@ def _patched(**attrs):
             setattr(selection, name, value)
 
 
+def _cap_of(cap, p):
+    return p if cap is None else min(cap, p)
+
+
+def _forward_loop(x, target, alpha, cap, best_addition):
+    """forward_select as a loop of one ``best_addition`` call per step, the
+    way it ran before it carried one fit."""
+    values = np.asarray(x, float)
+    chosen, trace, r2 = [], [], 0.0
+    while len(chosen) < _cap_of(cap, values.shape[1]):
+        i, new_r2 = best_addition(values, target, chosen)
+        if i is None or new_r2 <= r2 + selection._GAIN_EPS and chosen:
+            break
+        chosen.append(i)
+        r2 = new_r2
+        trace.append(("+", i, r2))
+        if r2 >= alpha:
+            break
+    return selection.SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
+
+
+def _stepwise_loop(x, target, alpha, entry, exit, cap, best_addition, best_removal):
+    """stepwise_select as a loop of one ``best_addition`` call per addition
+    and one ``best_removal`` call per removal step."""
+    values = np.asarray(x, float)
+    chosen, trace, r2 = [], [], 0.0
+    seen = {frozenset()}
+    while len(chosen) < _cap_of(cap, values.shape[1]):
+        i, new_r2 = best_addition(values, target, chosen)
+        if i is None or (chosen and new_r2 - r2 <= entry):
+            break
+        chosen.append(i)
+        r2 = new_r2
+        trace.append(("+", i, r2))
+        while len(chosen) > 1:
+            best_j, best_r2 = best_removal(values, target, chosen, chosen[:-1])
+            if best_j is None or r2 - best_r2 >= exit:
+                break
+            chosen.remove(best_j)
+            r2 = best_r2
+            trace.append(("-", best_j, r2))
+        state = frozenset(chosen)
+        if state in seen:
+            break
+        seen.add(state)
+        if r2 >= alpha:
+            break
+    return selection.SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
+
+
 def _backward_loop(x, target, alpha, start, best_removal):
     """backward_select as a loop of one ``best_removal`` call per step, the
     way it ran before it downdated one fit; start as backward_select
@@ -393,22 +497,31 @@ def _backward_loop(x, target, alpha, start, best_removal):
     return selection.SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
 
 
+def _irt_loop(x, target, coefficients, alpha, r_squared):
+    """iterative_reverse_threshold as a loop of one ``r_squared`` fit per
+    addition, in the library's order of the coefficients."""
+    values = np.asarray(x, float)
+    chosen, trace, r2 = [], [], 0.0
+    for i in selection._tie_order(coefficients):
+        chosen.append(int(i))
+        r2 = r_squared(values[:, chosen], target)
+        trace.append(("+", int(i), r2))
+        if r2 >= alpha:
+            break
+    return selection.SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
+
+
 def _kernel_and_oracle(kind, x, target, alpha, entry, exit, cap):
-    """(kernel run, lstsq run) of one selection strategy."""
+    """(library run, lstsq loop) of one selection strategy."""
     if kind == "forward":
-        run = lambda: forward_select(x, target, alpha, cap)  # noqa: E731
-    elif kind == "backward":
-        run = lambda: backward_select(x, target, alpha)  # noqa: E731
-    else:
-        run = lambda: stepwise_select(x, target, alpha, entry, exit, cap)  # noqa: E731
-    with _patched(_best_addition=_lstsq_best_addition, _best_removal=_lstsq_best_removal):
-        # backward_select no longer calls _best_removal, so its oracle is
-        # its own loop of one lstsq removal per step
-        if kind == "backward":
-            want = _backward_loop(x, target, alpha, "auto", _lstsq_best_removal)
-        else:
-            want = run()
-    return run(), want
+        return (forward_select(x, target, alpha, cap),
+                _forward_loop(x, target, alpha, cap, _lstsq_best_addition))
+    if kind == "backward":
+        return (backward_select(x, target, alpha),
+                _backward_loop(x, target, alpha, "auto", _lstsq_best_removal))
+    return (stepwise_select(x, target, alpha, entry, exit, cap),
+            _stepwise_loop(x, target, alpha, entry, exit, cap,
+                           _lstsq_best_addition, _lstsq_best_removal))
 
 
 def _steps(support):
@@ -491,17 +604,28 @@ def test_selection_matches_lstsq_oracle_on_integer_matrices(inputs):
     _assert_same_vif(values, list(range(values.shape[1])))
 
 
-# --- Differential oracle: one r2_add_drop per backward step --------------
-# backward_select downdates the fit of one seeded SVD from step to step.
-# The loop it replaced, one r2_add_drop of the whole support per step, must
-# give the same supports and trace steps and R^2 to 1e-12 relative, near
-# ties included: those the downdate leaves to a fresh SVD, which scores them
-# bit for bit as the loop does.
+# --- Differential oracle: one r2_add_drop per step ----------------------
+# Forward, stepwise and iterative-reverse selection carry one fit from step
+# to step, and backward selection downdates the fit of one seeded SVD. The
+# loops they replaced, one r2_add_drop of the support per addition or
+# removal step and one r_squared per iterative-reverse addition, must give
+# the same supports and trace steps and R^2 to 1e-12 relative, near ties
+# included: those the carried fit leaves to a fresh SVD, which scores them
+# bit for bit as the loops do.
 
 
-def _assert_same_backward(x, target, alpha, start="auto"):
-    got = backward_select(x, target, alpha, start)
-    want = _backward_loop(x, target, alpha, start, selection._best_removal)
+def _best_addition(values, target, chosen):
+    candidates = [i for i in range(values.shape[1]) if i not in chosen]
+    add, _ = r2_add_drop(values[:, chosen], target, values[:, candidates])
+    return selection._first_best(candidates, add)
+
+
+def _best_removal(values, target, chosen, removable):
+    _, drop = r2_add_drop(values[:, chosen], target)
+    return selection._first_best(removable, drop)
+
+
+def _assert_same_steps(got, want):
     assert got.indices == want.indices
     assert _steps(got) == _steps(want)
     r2s = [(g[2], w[2]) for g, w in zip(got.trace, want.trace)] + [(got.r2, want.r2)]
@@ -509,17 +633,136 @@ def _assert_same_backward(x, target, alpha, start="auto"):
         assert g == w if w is None else g == pytest.approx(w, rel=1e-12, abs=0)
 
 
+def _assert_same_as_loops(x, target, alpha, entry=1e-6, exit=1e-6, cap=None, coefficients=None):
+    _assert_same_steps(forward_select(x, target, alpha, cap),
+                       _forward_loop(x, target, alpha, cap, _best_addition))
+    _assert_same_steps(stepwise_select(x, target, alpha, entry, exit, cap),
+                       _stepwise_loop(x, target, alpha, entry, exit, cap,
+                                      _best_addition, _best_removal))
+    if coefficients is not None:
+        _assert_same_steps(iterative_reverse_threshold(x, target, coefficients, alpha),
+                           _irt_loop(x, target, coefficients, alpha, r_squared))
+
+
+def _assert_same_backward(x, target, alpha, start="auto"):
+    _assert_same_steps(backward_select(x, target, alpha, start),
+                       _backward_loop(x, target, alpha, start, _best_removal))
+
+
 @contextmanager
-def _counting_downdates():
-    calls = []
-    downdate = selection._downdate
+def _counting_fit_steps():
+    """Counts of the additions scored by the carried fit and of the fresh
+    SVDs the fit took (retaken steps and reseeds)."""
+    counts = {"carried": 0, "fresh": 0}
+    carried, seed = selection._Fit._carried_addition, selection._Fit._seed
 
-    def counted(*state):
-        calls.append(state)
-        return downdate(*state)
+    def counted_carried(fit, stops):
+        best = carried(fit, stops)
+        counts["carried"] += best is not None
+        return best
 
-    with _patched(_downdate=counted):
-        yield calls
+    def counted_seed(fit, cand):
+        counts["fresh"] += 1
+        return seed(fit, cand)
+
+    selection._Fit._carried_addition = counted_carried
+    selection._Fit._seed = counted_seed
+    try:
+        yield counts
+    finally:
+        selection._Fit._carried_addition = carried
+        selection._Fit._seed = seed
+
+
+def test_carried_selection_matches_per_step_loops_on_factor_data():
+    rng = np.random.default_rng(19)
+    with _counting_fit_steps() as counts:
+        for case in range(40):
+            p = int(rng.integers(4, 61))
+            n = int(rng.integers(p, 3 * p + 2))
+            x = random_data(rng, n=n, p=p)
+            weights = rng.standard_normal(p) * (rng.random(p) < 0.5)
+            target = x.values @ weights + 0.3 * rng.standard_normal(n)
+            entry = exit = (1e-6, 1e-3, 0.02)[case % 3]
+            cap = None if case % 2 else int(rng.integers(2, p + 1))
+            _assert_same_as_loops(x, target - target.mean(), (0.5, 0.8, 0.95, 0.999)[case % 4],
+                                  entry, exit, cap, weights + 0.1 * rng.standard_normal(p))
+        # a near-duplicate column (|z| / |x| about 1e-2 to 1e-7 once its twin
+        # is chosen): the carried fit leaves such steps to a fresh SVD
+        for case in range(20):
+            p = int(rng.integers(6, 30))
+            n = int(rng.integers(p + 2, 3 * p))
+            x = random_data(rng, n=n, p=p).values
+            i, j = rng.choice(p, 2, replace=False)
+            x[:, j] = x[:, i] + 10.0 ** -rng.integers(2, 8) * rng.standard_normal(n)
+            weights = rng.standard_normal(p) * (rng.random(p) < 0.5)
+            target = x @ weights + 0.3 * rng.standard_normal(n)
+            _assert_same_as_loops(x, target, (0.5, 0.9, 0.999)[case % 3],
+                                  cap=int(rng.integers(2, p + 1)), coefficients=weights)
+        # p > n: the support reaches the rank of the data
+        for _ in range(10):
+            p = int(rng.integers(8, 41))
+            x = random_data(rng, n=int(rng.integers(5, p)), p=p)
+            weights = rng.standard_normal(p)
+            _assert_same_as_loops(x, x.values @ weights, 0.999, coefficients=weights)
+    # the carried fit scored most steps, so the agreement is not that of
+    # fresh SVDs alone, and some steps were retaken
+    assert counts["carried"] > 500
+    assert counts["fresh"] >= 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(integer_selection_inputs())
+def test_carried_selection_matches_per_step_loops_on_integer_matrices(inputs):
+    values, target, alpha, entry, exit, cap = inputs
+    _assert_same_as_loops(values, target, alpha, entry, exit, cap,
+                          values.T @ target + np.arange(values.shape[1]))
+
+
+def _hadamard_ties():
+    """Orthogonal +-1 columns, |x_i|^2 = 8, and y = X c: adding or dropping
+    column i moves R^2 by exactly c_i^2 / |c|^2."""
+    h = np.array([[1.0]])
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    c = np.array([0.0, 1.0, 1.0, 2.0, 4.0, 8.0, 8.0, 16.0])
+    return h, c, h @ c, c @ c
+
+
+def test_carried_selection_exact_ties_match_per_step_loops():
+    h, c, y, cc = _hadamard_ties()
+    with _counting_fit_steps() as counts:
+        # columns 1 and 2, and 5 and 6, score the same; alpha is exactly the
+        # R^2 of the best two, three or five columns
+        for alpha in (320 / cc, 384 / cc, 404 / cc, 1.0):
+            _assert_same_as_loops(h, y, alpha, coefficients=c)
+            assert forward_select(h, y, alpha).indices[:2] == (7, 5)
+        # an addition that gains exactly `entry`, a removal that costs
+        # exactly `exit`
+        for entry, exit in ((1 / cc, 1 / cc), (4 / cc, 1 / cc), (4 / cc, 4 / cc)):
+            _assert_same_as_loops(h, y, 1.0, entry, exit)
+        # integer data found by an exact rational search: the fourth step
+        # prunes a column that costs exactly 3721/1706480, and the second
+        # addition gains exactly 605/1872; rescaled and row-permuted copies
+        # move the rounding to either side of the tie, where a retaken step
+        # needs the fresh bits of the R^2 it compares with
+        prune = (np.array([[-2, 2, 1, -2], [0, 2, 2, -2], [2, -2, 1, -1],
+                           [-1, 1, -2, 2], [-2, 2, -2, 1], [-1, -2, 0, -2]], float),
+                 np.array([-3, 3, -3, 2, 0, 3], float), 3721 / 1706480, 3721 / 1706480)
+        add = (np.array([[2, 0, 0, 2], [-2, 1, -1, -2], [-1, -2, 0, 1],
+                         [-1, 1, 2, -2], [2, -1, -2, -1], [1, 0, -1, 1]], float),
+               np.array([-2, 3, 3, -3, -2, 1], float), 605 / 1872, 1e-6)
+        for x, y6, entry, exit in (prune, add):
+            for scale in (1.0, 0.1, 0.3, 3.0, 5.0, 7.0):
+                for rows in (range(6), [5, 4, 3, 2, 1, 0], [1, 0, 3, 2, 5, 4]):
+                    _assert_same_as_loops(scale * x[rows], y6[rows], 1.0, entry, exit)
+    assert counts["carried"] and counts["fresh"]
+    # two identical useful columns: the lower index enters first, and the
+    # support is then rank deficient
+    dup = np.vstack([h, h])[:, [0, 1, 2, 3, 4, 5, 6, 7, 7]]
+    y2 = dup @ np.append(c, 16.0)
+    _assert_same_as_loops(dup, y2, 0.99, coefficients=np.append(c, 16.0))
+    assert forward_select(dup, y2, 0.99).indices[0] == 7
 
 
 def test_backward_matches_per_step_loop_on_factor_data():
@@ -543,13 +786,27 @@ def test_backward_matches_per_step_loop_on_factor_data():
         i, j = rng.choice(p, 2, replace=False)
         x[:, j] = x[:, i] + 10.0 ** -rng.integers(4, 8) * rng.standard_normal(n)
         target = x @ (rng.standard_normal(p) * (rng.random(p) < 0.5))
-        _assert_same_backward(x, target + 0.3 * rng.standard_normal(n), (0.5, 0.9)[case % 2])
+        target = target + 0.3 * rng.standard_normal(n)
+        _assert_same_backward(x, target, (0.5, 0.9)[case % 2])
     # p > n: backward from the forward solution
     for _ in range(10):
         p = int(rng.integers(8, 41))
         x = random_data(rng, n=int(rng.integers(5, p)), p=p)
         target = x.values @ rng.standard_normal(p)
         _assert_same_backward(x, target, 0.9, start="forward")
+
+
+@contextmanager
+def _counting_downdates():
+    calls = []
+    downdate = selection._downdate
+
+    def counted(*state):
+        calls.append(state)
+        return downdate(*state)
+
+    with _patched(_downdate=counted):
+        yield calls
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -560,14 +817,7 @@ def test_backward_matches_per_step_loop_on_integer_matrices(inputs):
 
 
 def test_backward_exact_ties_match_per_step_loop():
-    # orthogonal +-1 columns, |x_i|^2 = 8, so dropping column i from the
-    # fit of y = X c costs c_i^2 / |c|^2 of R^2 exactly
-    h = np.array([[1.0]])
-    for _ in range(3):
-        h = np.block([[h, h], [h, -h]])
-    c = np.array([0.0, 1.0, 1.0, 2.0, 4.0, 8.0, 8.0, 16.0])
-    y = h @ c
-    cc = c @ c
+    h, c, y, cc = _hadamard_ties()
     with _counting_downdates() as downdates:
         # columns 1 and 2, and 5 and 6, cost the same; dropping 0 .. 3, or
         # 0 .. 4, leaves an R^2 of exactly alpha; a downdated state meets
@@ -581,6 +831,40 @@ def test_backward_exact_ties_match_per_step_loop():
     dup = np.vstack([h, h])[:, [0, 1, 2, 3, 4, 5, 6, 7, 7]]
     _assert_same_backward(dup, dup @ np.append(c, 16.0), 0.9)
     assert backward_select(dup, dup @ np.append(c, 16.0), 0.9).trace[9][:2] == ("-", 0)
+
+
+@contextmanager
+def _counting_svds():
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    np.linalg.svd = counted
+    try:
+        yield calls
+    finally:
+        np.linalg.svd = svd
+
+
+def test_backward_takes_its_starting_r2_from_the_first_seed():
+    # well-conditioned columns and no near tie: one SVD seeds every step,
+    # and gives the starting R^2 too
+    rng = np.random.default_rng(20)
+    x = random_data(rng, n=40, p=8).values
+    target = x @ rng.standard_normal(8) + 0.3 * rng.standard_normal(40)
+    with _counting_svds() as svds:
+        got = backward_select(x, target, 0.5)
+    assert svds == [(40, 8)]
+    _assert_same_backward(x, target, 0.5)
+    # a support nothing can leave reports the R^2 of r_squared, bit for bit
+    with _counting_svds() as svds:
+        kept = backward_select(x, target, 1.0)
+    assert kept.indices == tuple(range(8)) and kept.r2 == r_squared(x, target)
+    assert len(svds) == 1
+    assert got.trace[:8] == kept.trace
 
 
 @pytest.mark.parametrize("start, problem", [
