@@ -22,11 +22,11 @@ h_i = ((X_A'X_A)^+)_ii:
 
 ``core.r2_add_drop`` takes all of these from one thin SVD of X_A at the
 cut of ``core._ls_svd``, and ``core.r_squared`` the R^2 of X_A itself.
-Forward, stepwise and iterative-reverse selection instead carry the fit
-from step to step (``_Fit``): an orthonormal basis Q of span(X_A), r, the
-residuals Z of every column with their squared norms, Q'y, and the map W
-with Q = X_A W (R^-1 of X_A = QR, or V S^-1 when an SVD X_A = U S V'
-seeds the fit), which gives beta = W Q'y and h as the row sums of W^2.
+Forward and stepwise selection instead carry the fit from step to step
+(``_Fit``): an orthonormal basis Q of span(X_A), r, the residuals Z of
+every column with their squared norms, Q'y, and the map W with
+Q = X_A W (R^-1 of X_A = QR, or V S^-1 when an SVD X_A = U S V' seeds
+the fit), which gives beta = W Q'y and h as the row sums of W^2.
 Choosing column i is one Gram-Schmidt step: its carried residual z_i is
 projected off Q once more, normalized into q, and r, Z and W take q in,
 a few O(np) numpy calls where the SVD route takes an SVD and two n x p
@@ -37,8 +37,8 @@ while |z_i| >= |x_i| / _COND_MAX, so that pass loses at most a factor
 _COND_MAX of orthogonality and the second brings q back to eps.
 
 A carried step is certified, or retaken from a fresh SVD scored bit for
-bit as ``r2_add_drop`` (or ``r_squared``) scores it, which also seeds the
-fit again. The carried scores stand when:
+bit as ``r2_add_drop`` scores it; a retaken addition also seeds the fit
+again. The carried scores stand when:
 
 - X_A has full rank and kappa_F = |X_A|_F |W|_F, an upper bound on
   sigma_1 / sigma_k, is at most _COND_MAX;
@@ -51,9 +51,9 @@ fit again. The carried scores stand when:
 
 When a retaken step's pick is within _MARGIN of a stop taken from the
 R^2 of the previous step, and the carried fit scored that, it is scored
-afresh too, so both sides of the comparison have the bits the per-step
-loop gives them. A stepwise
-removal leaves the next step to a fresh SVD of the new support.
+afresh too, so both sides of the comparison, and the trace, have the bits
+the per-step loop gives them. A stepwise removal leaves the next steps to
+a fresh SVD of the new support.
 
 Backward selection takes one SVD of the support, as ``r2_add_drop`` does,
 and then carries the least-squares state from step to step: rr = |r|^2,
@@ -76,16 +76,17 @@ cannot be certified takes a fresh SVD at every step.
 
 Candidates are then scanned in order, as the per-candidate fits were: a
 later one wins only by more than _GAIN_EPS, so ties go to the lowest index
-(additions) or the first in the chosen order (removals). A best score that
-beats every other by more than _GAIN_EPS is the scan's pick, so it is
-taken by argmax; a certified carried step clears its runner-up by more
-than _MARGIN, so it too is argmax's pick.
+(additions) or the first in the chosen order (removals). A certified
+carried step clears its runner-up by more than _MARGIN, so the scan would
+pick its argmax too.
 
-Iterative-reverse selection adds columns by descending |coefficient|.
-Coefficients equal in exact arithmetic, as those of a duplicated column
-are, come out of an SVD or a rotation with different last bits, so values
-within _LS_CUT * p * max|coefficient| of their neighbour in that order are
-tied, and tied columns enter in index order.
+Iterative-reverse selection adds columns by descending |coefficient| and
+takes the R^2 of each support with ``r_squared``; its order is fixed in
+advance, so it has no candidates to score. Coefficients equal in exact
+arithmetic, as those of a duplicated column are, come out of an SVD or a
+rotation with different last bits, so values within
+_LS_CUT * p * max|coefficient| of their neighbour in that order are tied,
+and tied columns enter in index order.
 """
 
 import operator
@@ -93,7 +94,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LS_CUT, _add_r2, _drop_r2, _ls_state, _pinv_diag, r_squared
+from .core import _LS_CUT, _add_r2, _drop_r2, _ls_state, _pinv_diag, r2_add_drop, r_squared
 from .errors import (
     EmptySupport,
     ExhaustedSchedule,
@@ -111,11 +112,12 @@ _GAIN_EPS = 1e-15
 # twice that: with kappa <= 100, 2 * m * eps * 1e4 <= 1e-9 up to m = 225
 # downdates. On seeded factor data with kappa up to 1e3 (p <= 60) the
 # scores stayed within 0.03 m eps kappa^2 of the SVD's, a 30-fold reserve.
-# The carried fit of the other strategies is backward stable, so a score
-# is within about (k + 1) * eps * kappa * |x_i| / |z_i| of the SVD's: with
-# both factors at most 100 that is below 1.5e-10 up to k = 60 columns. On
-# seeded factor data (p <= 60) and near-duplicate columns the carried
-# scores stayed within 4 eps of the SVD's, and drop scores within 32 eps.
+# The carried fit of forward and stepwise selection is backward stable, so
+# a score is within about (k + 1) * eps * kappa * |x_i| / |z_i| of the
+# SVD's: with both factors at most 100 that is below 1.5e-10 up to k = 60
+# columns. On seeded factor data (p <= 60) and near-duplicate columns the
+# carried scores stayed within 4 eps of the SVD's, and drop scores within
+# 32 eps.
 _COND_MAX = 100.0
 _MARGIN = 1e-9
 
@@ -220,28 +222,22 @@ def iterative_reverse_threshold(x, target, coefficients, alpha):
     """Add variables in descending |coefficient| order, tied values in
     index order, until R^2 >= alpha."""
     _check_alpha(alpha)
-    fit = _Fit(np.asarray(x, float), target)
+    values = np.asarray(x, float)
+    chosen = []
     trace = []
     r2 = 0.0
     for i in _tie_order(coefficients).tolist():
-        r2 = fit.append(i, alpha)
+        chosen.append(i)
+        r2 = r_squared(values[:, chosen], target)
         trace.append(("+", i, r2))
         if r2 >= alpha:
             break
-    return SupportSet(indices=tuple(fit.chosen), r2=r2, trace=tuple(trace))
+    return SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
 
 
 def _first_best(items, r2s):
     """Item with the largest R^2, scanned in order: a later item wins only
-    by more than _GAIN_EPS, so ties go to the first. When the largest beats
-    every other by more than that, the scan picks it, and so does argmax."""
-    if len(items) == 0:
-        return None, -1.0
-    r2s = np.asarray(r2s, float)[: len(items)]
-    j = int(r2s.argmax())
-    second = np.partition(r2s, -2)[-2] if r2s.size > 1 else -1.0
-    if r2s[j] > second + _GAIN_EPS:
-        return items[j], float(r2s[j])
+    by more than _GAIN_EPS, so ties go to the first."""
     best_i, best_r2 = None, -1.0
     for i, r2 in zip(items, r2s):
         if r2 > best_r2 + _GAIN_EPS:
@@ -275,8 +271,9 @@ class _Fit:
     map W with Q = X_A W, Q'y, the residual r of y, and the residuals
     Z = X - Q C of every column with C = Q'X (the chosen columns' entries
     are stale). ``ok`` is False while the fit cannot be certified; every
-    step then takes a fresh SVD, which seeds the fit again. ``r2`` is the
-    selection's R^2, the score of the last step taken.
+    step then takes a fresh SVD, and an addition's seeds the fit again.
+    ``trace`` holds the steps taken and ``r2`` the selection's R^2, the
+    score of the last of them.
     """
 
     def __init__(self, values, y):
@@ -299,6 +296,7 @@ class _Fit:
         self.rr = self.yy
         # a zero target has R^2 0 on every support, with nothing to carry
         self.ok = self.yy > 0.0
+        self.trace = []
         self.r2 = 0.0
         # the support of the last carried score, and the step that took r2
         # from the carried fit, so that a retaken step can score r2 afresh
@@ -314,7 +312,7 @@ class _Fit:
         if best is not None:
             return best
         cand = np.flatnonzero(self.free)
-        add = self._seed(cand)[0] if self.yy > 0.0 else np.zeros(cand.size)
+        add = self._seed(cand) if self.yy > 0.0 else np.zeros(cand.size)
         return self._refreshed(_first_best(cand.tolist(), add), stops[1:])
 
     def _carried_addition(self, stops):
@@ -345,12 +343,13 @@ class _Fit:
         self._scored = None if best is None else tuple(self.chosen)
         if best is not None:
             return best
-        drop = self._seed(np.flatnonzero(self.free))[1] if self.yy > 0.0 else np.zeros(count)
+        drop = r2_add_drop(self.values[:, self.chosen], self.y)[1]
         return self._refreshed(_first_best(range(count), drop), (self.r2 + offset,))
 
     def add(self, i, r2):
         """Choose column i, which a step scored at r2."""
         self.r2 = r2
+        self.trace.append(("+", i, r2))
         self._prev = None if self._scored is None else ("+", self._scored, i)
         self._choose(i)
 
@@ -358,23 +357,11 @@ class _Fit:
         """Drop the j-th chosen column, which a step scored at r2; the next
         step takes a fresh SVD."""
         self.r2 = r2
+        self.trace.append(("-", self.chosen[j], r2))
         self._prev = None if self._scored is None else ("-", self._scored, j)
         self.free[self.chosen.pop(j)] = True
         self.fro2 = float(np.sum(self.xnorm[self.chosen] ** 2))
         self.ok = False
-
-    def append(self, i, alpha):
-        """Choose column i; the R^2 of the new support, as ``r_squared``
-        gives it. The caller compares it with alpha."""
-        self._choose(i)
-        if not self.yy > 0.0:
-            return 0.0
-        if self.ok:
-            r2 = max(0.0, 1.0 - self.rr / self.yy)
-            if abs(r2 - alpha) > _MARGIN:
-                return r2
-        self._seed(np.flatnonzero(self.free))
-        return max(0.0, 1.0 - self.rr / self.yy)
 
     def _new_cut(self, k):
         """Residual norms above which a column is new to span(X_A) at k
@@ -423,30 +410,33 @@ class _Fit:
     def _refreshed(self, best, stops):
         """A retaken step's pick, after scoring r2 afresh when the carried
         fit scored it and the pick is within _MARGIN of a stop taken from
-        r2: the comparison then needs the bits ``r2_add_drop`` gave r2."""
+        r2: the comparison then needs the bits ``r2_add_drop`` gave r2. The
+        fresh score replaces the carried one in the trace as well."""
         if self._prev is not None and any(abs(best[1] - t) <= _MARGIN for t in stops):
             op, support, i = self._prev
-            cand = [c for c in range(self.free.size) if c not in support]
-            add, drop, _ = self._fresh(list(support), cand)
-            self.r2 = float(drop[i] if op == "-" else add[cand.index(i)])
+            if op == "-":
+                self.r2 = float(r2_add_drop(self.values[:, list(support)], self.y)[1][i])
+            else:
+                cand = [c for c in range(self.free.size) if c not in support]
+                self.r2 = float(self._adds(list(support), cand)[0][cand.index(i)])
+            self.trace[-1] = self.trace[-1][:2] + (self.r2,)
             self._prev = None
         return best
 
-    def _fresh(self, support, cand):
-        """(add, drop, state) of one SVD of the columns ``support``: the
-        scores bit for bit as ``r2_add_drop`` gives them for the columns
-        ``cand`` and the support's own, and the state they came from."""
-        u, s, v, null, resid, beta = _ls_state(self.values[:, support], self.y)
+    def _adds(self, support, cand):
+        """The add scores of one SVD of the columns ``support`` for the
+        columns ``cand``, bit for bit as ``r2_add_drop`` gives them, and the
+        state they came from."""
+        u, s, v, _, resid, _ = _ls_state(self.values[:, support], self.y)
         rr = float(resid @ resid)
-        drop = _drop_r2(rr, beta, _pinv_diag(s, v, null), self.yy)
         add, uc, z, zz = _add_r2(u, s, resid, rr, self.yy, len(support), self.values[:, cand])
-        return add, drop, (u, s, v, resid, rr, uc, z, zz)
+        return add, (u, s, v, resid, rr, uc, z, zz)
 
     def _seed(self, cand):
-        """The scores (add, drop) of a fresh SVD of X_A for the free columns
-        ``cand`` and the chosen ones, and the fit seeded from that SVD when
-        X_A has full rank and is well conditioned."""
-        add, drop, (u, s, v, resid, rr, uc, z, zz) = self._fresh(self.chosen, cand)
+        """The add scores of a fresh SVD of X_A for the free columns
+        ``cand``, and the fit seeded from that SVD when X_A has full rank
+        and is well conditioned."""
+        add, (u, s, v, resid, rr, uc, z, zz) = self._adds(self.chosen, cand)
         self.r, self.rr = resid, rr
         k = len(self.chosen)
         self.ok = s.size == k
@@ -458,7 +448,7 @@ class _Fit:
             self.z[:, cand] = z
             self.zz[cand] = zz
             self.ok = self._conditioned()
-        return add, drop
+        return add
 
 
 def _certified(scores, stops):
@@ -480,16 +470,14 @@ def forward_select(x, target, alpha, max_cardinality=None):
     cap = _cap(max_cardinality, values.shape[1])
     fit = _Fit(values, target)
     chosen = fit.chosen
-    trace = []
     while len(chosen) < cap:
         i, r2 = fit.best_addition(alpha, _GAIN_EPS)
         if r2 <= fit.r2 + _GAIN_EPS and chosen:
             break
         fit.add(i, r2)
-        trace.append(("+", i, r2))
         if r2 >= alpha:
             break
-    return SupportSet(indices=tuple(chosen), r2=fit.r2, trace=tuple(trace))
+    return SupportSet(indices=tuple(chosen), r2=fit.r2, trace=tuple(fit.trace))
 
 
 def _seed(a, y, yy):
@@ -602,21 +590,18 @@ def stepwise_select(x, target, alpha, entry=1e-6, exit=1e-6, max_cardinality=Non
     cap = _cap(max_cardinality, values.shape[1])
     fit = _Fit(values, target)
     chosen = fit.chosen
-    trace = []
     seen = {frozenset()}
     while len(chosen) < cap:
         i, r2 = fit.best_addition(alpha, entry)
         if chosen and r2 - fit.r2 <= entry:
             break
         fit.add(i, r2)
-        trace.append(("+", i, r2))
         # prune: removals that cost less than `exit` in R^2
         while len(chosen) > 1:
             # never undo the variable just added
             j, r2 = fit.best_removal(len(chosen) - 1, alpha, -exit)
             if fit.r2 - r2 >= exit:
                 break
-            trace.append(("-", chosen[j], r2))
             fit.remove(j, r2)
         state = frozenset(chosen)
         if state in seen:
@@ -624,7 +609,7 @@ def stepwise_select(x, target, alpha, entry=1e-6, exit=1e-6, max_cardinality=Non
         seen.add(state)
         if fit.r2 >= alpha:
             break
-    return SupportSet(indices=tuple(chosen), r2=fit.r2, trace=tuple(trace))
+    return SupportSet(indices=tuple(chosen), r2=fit.r2, trace=tuple(fit.trace))
 
 
 def select_support(x, target, coefficients, strategy):

@@ -497,20 +497,6 @@ def _backward_loop(x, target, alpha, start, best_removal):
     return selection.SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
 
 
-def _irt_loop(x, target, coefficients, alpha, r_squared):
-    """iterative_reverse_threshold as a loop of one ``r_squared`` fit per
-    addition, in the library's order of the coefficients."""
-    values = np.asarray(x, float)
-    chosen, trace, r2 = [], [], 0.0
-    for i in selection._tie_order(coefficients):
-        chosen.append(int(i))
-        r2 = r_squared(values[:, chosen], target)
-        trace.append(("+", int(i), r2))
-        if r2 >= alpha:
-            break
-    return selection.SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
-
-
 def _kernel_and_oracle(kind, x, target, alpha, entry, exit, cap):
     """(library run, lstsq loop) of one selection strategy."""
     if kind == "forward":
@@ -605,13 +591,12 @@ def test_selection_matches_lstsq_oracle_on_integer_matrices(inputs):
 
 
 # --- Differential oracle: one r2_add_drop per step ----------------------
-# Forward, stepwise and iterative-reverse selection carry one fit from step
-# to step, and backward selection downdates the fit of one seeded SVD. The
-# loops they replaced, one r2_add_drop of the support per addition or
-# removal step and one r_squared per iterative-reverse addition, must give
-# the same supports and trace steps and R^2 to 1e-12 relative, near ties
-# included: those the carried fit leaves to a fresh SVD, which scores them
-# bit for bit as the loops do.
+# Forward and stepwise selection carry one fit from step to step, and
+# backward selection downdates the fit of one seeded SVD. The loops they
+# replaced, one r2_add_drop of the support per addition or removal step,
+# must give the same supports and trace steps and R^2 to 1e-12 relative,
+# near ties included: those the carried fit leaves to a fresh SVD, which
+# scores them bit for bit as the loops do.
 
 
 def _best_addition(values, target, chosen):
@@ -628,20 +613,20 @@ def _best_removal(values, target, chosen, removable):
 def _assert_same_steps(got, want):
     assert got.indices == want.indices
     assert _steps(got) == _steps(want)
+    # the selection's R^2 is that of its last step, to the bit
+    if got.trace[-1][2] is not None:
+        assert got.r2 == got.trace[-1][2]
     r2s = [(g[2], w[2]) for g, w in zip(got.trace, want.trace)] + [(got.r2, want.r2)]
     for g, w in r2s:
         assert g == w if w is None else g == pytest.approx(w, rel=1e-12, abs=0)
 
 
-def _assert_same_as_loops(x, target, alpha, entry=1e-6, exit=1e-6, cap=None, coefficients=None):
+def _assert_same_as_loops(x, target, alpha, entry=1e-6, exit=1e-6, cap=None):
     _assert_same_steps(forward_select(x, target, alpha, cap),
                        _forward_loop(x, target, alpha, cap, _best_addition))
     _assert_same_steps(stepwise_select(x, target, alpha, entry, exit, cap),
                        _stepwise_loop(x, target, alpha, entry, exit, cap,
                                       _best_addition, _best_removal))
-    if coefficients is not None:
-        _assert_same_steps(iterative_reverse_threshold(x, target, coefficients, alpha),
-                           _irt_loop(x, target, coefficients, alpha, r_squared))
 
 
 def _assert_same_backward(x, target, alpha, start="auto"):
@@ -652,7 +637,8 @@ def _assert_same_backward(x, target, alpha, start="auto"):
 @contextmanager
 def _counting_fit_steps():
     """Counts of the additions scored by the carried fit and of the fresh
-    SVDs the fit took (retaken steps and reseeds)."""
+    SVDs the fit took (retaken additions, which reseed it, and retaken
+    removals)."""
     counts = {"carried": 0, "fresh": 0}
     carried, seed = selection._Fit._carried_addition, selection._Fit._seed
 
@@ -665,10 +651,15 @@ def _counting_fit_steps():
         counts["fresh"] += 1
         return seed(fit, cand)
 
+    def counted_r2_add_drop(*args):
+        counts["fresh"] += 1
+        return r2_add_drop(*args)
+
     selection._Fit._carried_addition = counted_carried
     selection._Fit._seed = counted_seed
     try:
-        yield counts
+        with _patched(r2_add_drop=counted_r2_add_drop):
+            yield counts
     finally:
         selection._Fit._carried_addition = carried
         selection._Fit._seed = seed
@@ -686,7 +677,7 @@ def test_carried_selection_matches_per_step_loops_on_factor_data():
             entry = exit = (1e-6, 1e-3, 0.02)[case % 3]
             cap = None if case % 2 else int(rng.integers(2, p + 1))
             _assert_same_as_loops(x, target - target.mean(), (0.5, 0.8, 0.95, 0.999)[case % 4],
-                                  entry, exit, cap, weights + 0.1 * rng.standard_normal(p))
+                                  entry, exit, cap)
         # a near-duplicate column (|z| / |x| about 1e-2 to 1e-7 once its twin
         # is chosen): the carried fit leaves such steps to a fresh SVD
         for case in range(20):
@@ -698,13 +689,13 @@ def test_carried_selection_matches_per_step_loops_on_factor_data():
             weights = rng.standard_normal(p) * (rng.random(p) < 0.5)
             target = x @ weights + 0.3 * rng.standard_normal(n)
             _assert_same_as_loops(x, target, (0.5, 0.9, 0.999)[case % 3],
-                                  cap=int(rng.integers(2, p + 1)), coefficients=weights)
+                                  cap=int(rng.integers(2, p + 1)))
         # p > n: the support reaches the rank of the data
         for _ in range(10):
             p = int(rng.integers(8, 41))
             x = random_data(rng, n=int(rng.integers(5, p)), p=p)
             weights = rng.standard_normal(p)
-            _assert_same_as_loops(x, x.values @ weights, 0.999, coefficients=weights)
+            _assert_same_as_loops(x, x.values @ weights, 0.999)
     # the carried fit scored most steps, so the agreement is not that of
     # fresh SVDs alone, and some steps were retaken
     assert counts["carried"] > 500
@@ -715,8 +706,7 @@ def test_carried_selection_matches_per_step_loops_on_factor_data():
 @given(integer_selection_inputs())
 def test_carried_selection_matches_per_step_loops_on_integer_matrices(inputs):
     values, target, alpha, entry, exit, cap = inputs
-    _assert_same_as_loops(values, target, alpha, entry, exit, cap,
-                          values.T @ target + np.arange(values.shape[1]))
+    _assert_same_as_loops(values, target, alpha, entry, exit, cap)
 
 
 def _hadamard_ties():
@@ -735,7 +725,7 @@ def test_carried_selection_exact_ties_match_per_step_loops():
         # columns 1 and 2, and 5 and 6, score the same; alpha is exactly the
         # R^2 of the best two, three or five columns
         for alpha in (320 / cc, 384 / cc, 404 / cc, 1.0):
-            _assert_same_as_loops(h, y, alpha, coefficients=c)
+            _assert_same_as_loops(h, y, alpha)
             assert forward_select(h, y, alpha).indices[:2] == (7, 5)
         # an addition that gains exactly `entry`, a removal that costs
         # exactly `exit`
@@ -761,7 +751,7 @@ def test_carried_selection_exact_ties_match_per_step_loops():
     # support is then rank deficient
     dup = np.vstack([h, h])[:, [0, 1, 2, 3, 4, 5, 6, 7, 7]]
     y2 = dup @ np.append(c, 16.0)
-    _assert_same_as_loops(dup, y2, 0.99, coefficients=np.append(c, 16.0))
+    _assert_same_as_loops(dup, y2, 0.99)
     assert forward_select(dup, y2, 0.99).indices[0] == 7
 
 
