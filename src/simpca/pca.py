@@ -104,7 +104,7 @@ def rescale_coefficients(v, scaling="unit-l2", lam=None):
     scaling : 'unit-l2', 'component-unit-norm' (divide column j by lambda_j,
         producing components with equal L2 norm), 'inverse-eigenvalue'
         (divide column j by lambda_j**2, i.e. by the eigenvalue of X'X),
-        or 'l1' / 'l2' / 'linf' (unit L_m column norms). Directions are
+        or 'l1' / 'linf' (unit L_1 / L_inf column norms). Directions are
         never changed: the output column is a positive multiple of the
         input column.
     """
@@ -120,7 +120,7 @@ def rescale_coefficients(v, scaling="unit-l2", lam=None):
         if lam is None:
             raise ValueError("inverse-eigenvalue scaling needs the singular values")
         return v / np.asarray(lam, float) ** 2
-    if scaling in ("unit-l2", "l2"):
+    if scaling == "unit-l2":
         return v / np.linalg.norm(v, axis=0)
     if scaling == "l1":
         return v / np.sum(np.abs(v), axis=0)

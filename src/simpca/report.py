@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -233,47 +233,31 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+def _thaw(value):
+    """A JSON value with its arrays back as the tuples a report holds."""
+    return tuple(_thaw(v) for v in value) if isinstance(value, list) else value
+
+
+def _component_hook(obj):
+    # JSON objects decode innermost first: a component block is the object
+    # with exactly ComponentSummary's fields; the config echo stays a dict
+    if obj.keys() == {f.name for f in fields(ComponentSummary)}:
+        return ComponentSummary(**{k: _thaw(v) for k, v in obj.items()})
+    return obj
+
+
 def report_from_json(payload):
     """Rebuild an AnalysisReport from the bytes produced by emit(..., 'json')."""
-    data = json.loads(payload)
-    comps = tuple(
-        ComponentSummary(
-            method=c["method"],
-            cardinality=c["cardinality"],
-            vexp_pct=c["vexp_pct"],
-            cvexp_pct=c["cvexp_pct"],
-            rcvexp=c["rcvexp"],
-            mincont_pct=c["mincont_pct"],
-            r2_vs_target=c["r2_vs_target"],
-            variables=tuple(tuple(v) for v in c["variables"]),
-        )
-        for c in data["components"]
-    )
-    return AnalysisReport(
-        config=data["config"],
-        column_names=tuple(data["column_names"]),
-        total_variance=data["total_variance"],
-        pca_vexp_pct=tuple(data["pca_vexp_pct"]),
-        components=comps,
-        correlations=tuple(tuple(row) for row in data["correlations"]),
-        response_r2=tuple(data["response_r2"]),
-    )
+    data = json.loads(payload, object_hook=_component_hook)
+    return AnalysisReport(**{k: _thaw(v) for k, v in data.items()})
 
 
 def emit(report, fmt="tsv"):
     """Serialize a report: 'json' is lossless, 'tsv' mirrors the table
     presentation (whole-percent contributions, one decimal for vexp)."""
     if fmt == "json":
-        payload = {
-            "config": report.config,
-            "column_names": list(report.column_names),
-            "total_variance": report.total_variance,
-            "pca_vexp_pct": list(report.pca_vexp_pct),
-            "components": [asdict(c) for c in report.components],
-            "correlations": [list(row) for row in report.correlations],
-            "response_r2": list(report.response_r2),
-        }
-        return (json.dumps(payload, indent=2, default=_json_default) + "\n").encode()
+        # the dataclasses are the schema: their fields, in order
+        return (json.dumps(asdict(report), indent=2, default=_json_default) + "\n").encode()
     if fmt != "tsv":
         raise ValueError(f"unknown format {fmt!r}")
 

@@ -49,8 +49,8 @@ class RotationCriterion:
             if not 0.0 <= self.param <= 1.0:
                 raise ValueError("kappa must be in [0, 1]")
         elif self.family == "orthomax":
-            if self.param < 0.0:
-                raise ValueError("c must be >= 0")
+            if not 0.0 <= self.param < math.inf:
+                raise ValueError("c must be finite and >= 0")
         else:
             raise ValueError(f"unknown criterion family {self.family!r}")
 

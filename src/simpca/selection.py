@@ -89,6 +89,7 @@ _LS_CUT * p * max|coefficient| of their neighbour in that order are tied,
 and tied columns enter in index order.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -161,9 +162,9 @@ class SelectionStrategy:
 
 
 def rescale_to_unit_norm(coefficients, norm_m=2):
-    """Rescale a coefficient vector to unit L_m norm (m in {1, 2, inf})."""
+    """Rescale a coefficient vector to unit L_m norm (m in {1, 2, np.inf})."""
     a = np.asarray(coefficients, float)
-    if norm_m in (np.inf, "inf"):
+    if norm_m == np.inf:
         norm = np.max(np.abs(a))
     elif norm_m in (1, 2):
         norm = np.sum(np.abs(a) ** norm_m) ** (1.0 / norm_m)
@@ -193,18 +194,28 @@ def threshold_support(coefficients, t, norm_m=2):
 
 
 def adaptive_threshold_support(coefficients, t0, step, norm_m=2):
-    """Lower the threshold t0, t0-step, ... until the support is non-empty."""
-    if t0 <= 0 or step <= 0:
-        raise ValueError("t0 and step must be positive")
-    t = t0
-    while t > 0:
-        if t <= 1:
-            try:
-                return threshold_support(coefficients, t, norm_m)
-            except EmptySupport:
-                pass
-        t = t - step
-    raise ExhaustedSchedule(t0, step)
+    """Lower the threshold t0, t0 - step, t0 - 2 step, ... until the support
+    is non-empty.
+
+    The first threshold that keeps a variable is the first at or below the
+    largest rescaled |coefficient| (and at or below 1), so it is found
+    directly: t0 - k step with k the ceiling of (t0 - top) / step, or one
+    less when rounding in that quotient overshot. The cost does not grow
+    with t0 / step. With steps finer than rounding, k is good only to within
+    rounding, so the threshold is capped at top. A schedule with no
+    threshold in (0, top] is ``ExhaustedSchedule``."""
+    t0, step = float(t0), float(step)
+    if not (0 < t0 < math.inf and 0 < step < math.inf):
+        raise ValueError("t0 and step must be positive and finite")
+    a = rescale_to_unit_norm(coefficients, norm_m)
+    top = min(1.0, float(np.max(np.abs(a))))
+    k = max(0.0, float(np.ceil((t0 - top) / step)))
+    if k and t0 - (k - 1) * step <= top:
+        k -= 1
+    t = min(t0 - k * step, top)
+    if t <= 0:
+        raise ExhaustedSchedule(t0, step)
+    return threshold_support(coefficients, t, norm_m)
 
 
 def _tie_order(coefficients):

@@ -5,9 +5,12 @@ baseline, and the end-to-end pipeline.
 A sparse component is always a combination of selected *original* columns,
 t = Xdot @ w. Its extra variance explained is measured against the
 orthocomplement Q of the previously accepted components (Q_1 = X):
-||Q't||^2 / t't. The two LS variants maximize exactly that quotient over
-the support (USPCA under score-orthogonality constraints), so on any fixed
-support CSPCA >= USPCA and CSPCA >= PSPCA by construction.
+||Q't||^2 / t't. The two LS variants are one LS-SPCA solve, which
+maximizes exactly that quotient over the support: CSPCA is the solve with
+no constraint basis, and USPCA the same solve on the null space of the
+constraints that its scores be orthogonal to those of the components
+already accepted. So on any fixed support CSPCA >= USPCA and
+CSPCA >= PSPCA by construction.
 
 Each of these quantities, like every selection R^2, depends on X only
 through the norms ||Xu||. So ``run_simpca`` takes one QR, X = Q_x F, and
@@ -151,56 +154,58 @@ def _leading_generalized_eigvec(a_mat, b_mat, gram, support):
     return white @ mvecs[:, -1]
 
 
-def cspca_component(x, q, support):
-    """CSPCA: maximize extra variance explained over the support columns.
+def _ls_spca(x, q, support, method, previous=()):
+    """LS-SPCA: the weights w over the support columns X_A that maximize
+    the extra variance explained ||Q'X_A w||^2 / ||X_A w||^2.
 
-    Solves the generalized eigenproblem (Xdot'QQ'Xdot) w = mu (Xdot'Xdot) w;
-    mu is the extra variance explained by the component Xdot @ w.
+    That is the generalized eigenproblem (X_A'QQ'X_A) w = mu (X_A'X_A) w,
+    with mu the component's extra vexp. Given the score vectors of earlier
+    components, w is restricted to the feasible basis N, the weights whose
+    scores are orthogonal to all of them: the null space of the constraint
+    block C (row i: t_i' X_A), the null-space block of V in the SVD of C at
+    the least-squares cut (``core._ls_svd``). The problem is then solved
+    for z in w = N z; the component depends only on the span of N.
     """
     if not support.indices:
         raise EmptySupport()
     values = np.asarray(x, float)
     qv = np.asarray(q, float)
     sub = values[:, list(support.indices)]
-    qx = qv.T @ sub
     gram = sub.T @ sub
-    w = _leading_generalized_eigvec(qx.T @ qx, gram, gram, support)
+    span, b_mat = sub, gram
+    if previous:
+        basis = core._ls_svd(np.vstack([t @ sub for t in previous]))[3]
+        if basis.shape[1] == 0:
+            raise InfeasibleOrthogonality(len(support.indices), len(previous))
+        span, b_mat = sub @ basis, basis.T @ gram @ basis
+    qx = qv.T @ span
+    w = _leading_generalized_eigvec(qx.T @ qx, b_mat, gram, support)
+    if previous:
+        w = basis @ w
     w, _ = pca.fix_signs(w[:, None])
     w = w[:, 0] / np.linalg.norm(w)
-    return _finish(x, qv, support, w, sub @ w, "cspca")
+    return _finish(x, qv, support, w, sub @ w, method)
+
+
+def _scores(components):
+    """Score vectors of SparseComponents, or of arrays taken as such."""
+    return [
+        c.scores if isinstance(c, SparseComponent) else np.asarray(c, float)
+        for c in components
+    ]
+
+
+def cspca_component(x, q, support):
+    """CSPCA: maximize extra variance explained over the support columns,
+    the LS-SPCA solve with no constraint."""
+    return _ls_spca(x, q, support, "cspca")
 
 
 def uspca_component(x, q, support, previous_components=()):
     """USPCA: as CSPCA, restricted to score vectors orthogonal to all
-    previously computed components' scores.
-
-    The feasible weights are the null space of the m x k constraint block
-    C (row i: previous scores t_i' X_A), the null-space block of V in the
-    SVD of C at the least-squares cut (``core._ls_svd``); the component
-    depends only on its span."""
-    if not support.indices:
-        raise EmptySupport()
-    values = np.asarray(x, float)
-    qv = np.asarray(q, float)
-    sub = values[:, list(support.indices)]
-    prev = [
-        c.scores if isinstance(c, SparseComponent) else np.asarray(c, float)
-        for c in previous_components
-    ]
-    if prev:
-        constraints = np.vstack([t @ sub for t in prev])
-        basis = core._ls_svd(constraints)[3]
-        if basis.shape[1] == 0:
-            raise InfeasibleOrthogonality(len(support.indices), len(prev))
-    else:
-        basis = np.eye(sub.shape[1])
-    qx = qv.T @ (sub @ basis)
-    gram = sub.T @ sub
-    z = _leading_generalized_eigvec(qx.T @ qx, basis.T @ gram @ basis, gram, support)
-    w = basis @ z
-    w, _ = pca.fix_signs(w[:, None])
-    w = w[:, 0] / np.linalg.norm(w)
-    return _finish(x, qv, support, w, sub @ w, "uspca")
+    previously computed components' scores (SparseComponents or arrays):
+    the LS-SPCA solve on the constraint null space."""
+    return _ls_spca(x, q, support, "uspca", _scores(previous_components))
 
 
 def _plain_component(x, q, support, coefficients, target):
@@ -229,10 +234,7 @@ def plain_threshold_component(x, coefficients, t, norm_m=2, q=None):
 
 def component_correlations(components):
     """Pearson correlation matrix of the components' score vectors."""
-    scores = [
-        c.scores if isinstance(c, SparseComponent) else np.asarray(c, float)
-        for c in components
-    ]
+    scores = _scores(components)
     if len(scores) < 2:
         raise ValueError("need at least 2 components")
     mat = np.column_stack(scores)

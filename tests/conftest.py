@@ -1,4 +1,6 @@
 import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -7,6 +9,23 @@ from simpca import center_scale
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 EUROJOBS = os.path.join(DATA_DIR, "eurojobs.csv")
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail a block that runs longer than ``seconds`` instead of letting it
+    stall the suite (SIGALRM, so POSIX and the main thread only)."""
+
+    def expire(signum, frame):
+        pytest.fail(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_data(rng, n=None, p=None, scaling="none"):

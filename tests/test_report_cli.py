@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,9 @@ from simpca.errors import (
     NonNumericCell,
     RaggedRow,
 )
-from simpca.report import pca_report, report_from_json
+from simpca.report import AnalysisReport, ComponentSummary, pca_report, report_from_json
 
-from conftest import EUROJOBS
+from conftest import EUROJOBS, time_limit
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -123,6 +124,91 @@ def test_json_round_trip():
     for a, b in zip(back.components, rep.components):
         assert a.vexp_pct == pytest.approx(b.vexp_pct)
         assert a.variables == tuple(tuple(v) for v in b.variables)
+
+
+def _json_default(obj):
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"not serializable: {type(obj)}")
+
+
+def _emit_json_oracle(report):
+    """emit(report, 'json') as it was written field by field, before the
+    dataclasses became the schema."""
+    payload = {
+        "config": report.config,
+        "column_names": list(report.column_names),
+        "total_variance": report.total_variance,
+        "pca_vexp_pct": list(report.pca_vexp_pct),
+        "components": [asdict(c) for c in report.components],
+        "correlations": [list(row) for row in report.correlations],
+        "response_r2": list(report.response_r2),
+    }
+    return (json.dumps(payload, indent=2, default=_json_default) + "\n").encode()
+
+
+def _report_from_json_oracle(payload):
+    """report_from_json as it was written field by field."""
+    data = json.loads(payload)
+    comps = tuple(
+        ComponentSummary(
+            method=c["method"],
+            cardinality=c["cardinality"],
+            vexp_pct=c["vexp_pct"],
+            cvexp_pct=c["cvexp_pct"],
+            rcvexp=c["rcvexp"],
+            mincont_pct=c["mincont_pct"],
+            r2_vs_target=c["r2_vs_target"],
+            variables=tuple(tuple(v) for v in c["variables"]),
+        )
+        for c in data["components"]
+    )
+    return AnalysisReport(
+        config=data["config"],
+        column_names=tuple(data["column_names"]),
+        total_variance=data["total_variance"],
+        pca_vexp_pct=tuple(data["pca_vexp_pct"]),
+        components=comps,
+        correlations=tuple(tuple(row) for row in data["correlations"]),
+        response_r2=tuple(data["response_r2"]),
+    )
+
+
+def _eurojobs_reports():
+    """Reports of every method, and of PCA alone, with and without a
+    response column."""
+    for response in (None, "finance"):
+        names, values, _, resp = ingest_csv(
+            EUROJOBS, response_column=response, id_column="country"
+        )
+        x = center_scale(values, scaling="unit-variance", column_names=names)
+        yield pca_report(x, 4, {"nd": 4, "response": response}, response=resp)
+        for method in ("pspca", "cspca", "uspca", "plain"):
+            cfg = SimpcaPipelineConfig(
+                nd=3, nr=4, method=method,
+                strategy=SelectionStrategy(kind="forward", alpha=0.95),
+            )
+            echo = {"method": method, "alpha": 0.95, "kappa": None, "norm": "inf"}
+            yield build_report(x, run_simpca(x, cfg), echo, response=resp)
+
+
+def test_json_schema_matches_field_by_field_oracle():
+    # the JSON schema is the dataclasses': emit dumps asdict(report) and
+    # report_from_json rebuilds from the fields, with the same bytes and the
+    # same report as the field-by-field code (no byte golden: full-precision
+    # floats differ across numpy and BLAS builds)
+    reports = list(_eurojobs_reports())
+    assert {c.method for r in reports for c in r.components} == {
+        "pspca", "cspca", "uspca", "plain-threshold"}
+    assert sum(bool(r.response_r2) for r in reports) == 5
+    for rep in reports:
+        payload = emit(rep, "json")
+        assert payload == _emit_json_oracle(rep)
+        back = report_from_json(payload)
+        assert back == _report_from_json_oracle(payload) == rep
+        assert emit(back, "json") == payload
 
 
 def test_tsv_blocks():
@@ -293,6 +379,14 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--scale", "none", "--nr", "3", "--nd", "2", "--select",
                  "threshold", "--threshold", "2"])
     assert code == 2
+    # config error: an adaptive schedule that is not finite (t0 inf would
+    # otherwise step forever, and a NaN exhaust as a numerical failure)
+    for flag, value in (("--t0", "inf"), ("--t0", "nan"), ("--step", "nan")):
+        with time_limit(10):
+            code = main(["simpca", "--input", EUROJOBS, "--id-column", "country",
+                         "--scale", "none", "--nr", "3", "--nd", "2", "--select",
+                         "adaptive", flag, value])
+        assert code == 2
     # numerical/config boundary: more components than rank
     code = main(
         ["pca", "--input", EUROJOBS, "--id-column", "country", "--scale",

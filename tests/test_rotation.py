@@ -68,6 +68,16 @@ def test_criterion_presets_and_validation():
         RotationCriterion("promax", 0.0)
 
 
+def test_orthomax_c_must_be_finite():
+    # c < 0 is False for NaN; a NaN or infinite c would run every sweep and
+    # return NaN coefficients
+    for c in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            RotationCriterion("orthomax", c)
+        with pytest.raises(ValueError):
+            RotationCriterion.crawford_ferguson(c)
+
+
 def test_rotation_invariants():
     rng = np.random.default_rng(2)
     for trial in range(15):

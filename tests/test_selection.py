@@ -31,7 +31,7 @@ from simpca.errors import (
 )
 from simpca.selection import rescale_to_unit_norm, select_support
 
-from conftest import random_data
+from conftest import random_data, time_limit
 
 
 def test_threshold_basic():
@@ -127,6 +127,42 @@ def test_adaptive_exhausted():
         adaptive_threshold_support(np.full(9, 0.2), 0.9, 0.5)
     with pytest.raises(ValueError):
         adaptive_threshold_support(np.ones(3), -0.1, 0.05)
+
+
+def test_adaptive_schedule_cost_does_not_grow_with_t0_over_step():
+    # the first kept threshold t0 - k step is found directly, so a schedule
+    # of 2e13 steps, or one whose step is below the rounding of t0, returns
+    # at once; the 21-vector rescales to max 0.228, the rest 0.217
+    v = np.full(21, 1.0)
+    v[0] = 1.05
+    top = np.max(rescale_to_unit_norm(v))
+    with time_limit(5):
+        sup = adaptive_threshold_support(v, 1e12, 0.05)
+        assert sup.cardinality == 21 and sup.threshold_used == pytest.approx(0.2, abs=1e-3)
+        sup = adaptive_threshold_support(v, 0.25, 1e-17)
+        assert sup.indices == (0,)
+        assert top - 1e-15 <= sup.threshold_used <= top
+
+
+def test_adaptive_schedule_points_are_t0_minus_k_step():
+    # each threshold is t0 - k step rounded once, so rounding does not
+    # accumulate over the steps: 2.0 - 5 * 0.2 is 1.0 and keeps the largest
+    # coefficient (five subtractions of 0.2 give 1.0000000000000002), and
+    # 0.5 - 5 * 0.1 is 0, which ends the schedule (five subtractions of 0.1
+    # give 2.8e-17, a threshold that keeps every column)
+    coefs = np.array([0.2, -0.8, 0.4])
+    sup = adaptive_threshold_support(coefs, 2.0, 0.2, np.inf)
+    assert sup.indices == (1,) and sup.threshold_used == 1.0
+    with pytest.raises(ExhaustedSchedule):
+        adaptive_threshold_support(np.full(20, 1.0), 0.5, 0.1, 1)
+
+
+@pytest.mark.parametrize("t0, step", [
+    (np.inf, 0.05), (np.nan, 0.05), (0.25, np.inf), (0.25, np.nan), (0.25, 0.0),
+])
+def test_adaptive_schedule_must_be_finite(t0, step):
+    with time_limit(5), pytest.raises(ValueError):
+        adaptive_threshold_support(np.array([0.2, -0.8, 0.4]), t0, step)
 
 
 def test_iterative_reverse_threshold_oracle():

@@ -109,6 +109,23 @@ def test_cspca_matches_explicit_generalized_eigen_oracle():
             assert comp.extra_vexp >= vexp_of_component(x, sub @ w) - 1e-8
 
 
+def test_cspca_is_uspca_without_earlier_components():
+    # one LS-SPCA solve: CSPCA is USPCA with no constraint, to the bit
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        x = random_data(rng, n=int(rng.integers(15, 31)))
+        p = x.values.shape[1]
+        q = deflate(x, x.values @ rng.standard_normal(p))
+        support = _random_support(rng, p)
+        c = cspca_component(x, q, support)
+        u = uspca_component(x, q, support, ())
+        assert c.method == "cspca" and u.method == "uspca"
+        assert c.coefficients.tobytes() == u.coefficients.tobytes()
+        assert c.scores.tobytes() == u.scores.tobytes()
+        assert c.vexp.hex() == u.vexp.hex()
+        assert c.extra_vexp.hex() == u.extra_vexp.hex()
+
+
 def test_cspca_singular_subset():
     from simpca import center_scale
 
