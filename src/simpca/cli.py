@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``pca`` (variance spectrum and optional response R^2),
-``rotate`` (rotated coefficient table), ``simpca`` (full sparse pipeline
-with the summary report).
+``rotate`` (rotated coefficient table, TSV), ``simpca`` (full sparse
+pipeline with the summary report); ``pca`` and ``simpca`` write TSV or
+JSON (``--format``).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -26,7 +27,6 @@ def _common_data_args(p):
     p.add_argument("--scale", required=True, choices=["none", "unit-variance"],
                    help="column scaling (no default: choose per dataset)")
     p.add_argument("--delimiter", default=None, help="comma by default, tab accepted")
-    p.add_argument("--format", default="tsv", choices=["tsv", "json"])
     p.add_argument("--out", default=None, help="output path (stdout by default)")
 
 
@@ -59,7 +59,7 @@ def build_parser():
     p_pca.add_argument("--nd", type=int, required=True,
                        help="components to report (0: every one up to the rank)")
 
-    p_rot = sub.add_parser("rotate", help="rotated coefficient table")
+    p_rot = sub.add_parser("rotate", help="rotated coefficient table (TSV)")
     _common_data_args(p_rot)
     _rotation_args(p_rot)
 
@@ -81,6 +81,9 @@ def build_parser():
     deflate.add_argument("--deflate", dest="deflate", action="store_true")
     deflate.add_argument("--no-deflate", dest="deflate", action="store_false")
     p_run.set_defaults(deflate=True)
+    # rotate writes its coefficient table as TSV only
+    for p in (p_pca, p_run):
+        p.add_argument("--format", default="tsv", choices=["tsv", "json"])
     return parser
 
 

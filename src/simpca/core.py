@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, ZeroVarianceColumn
+from .errors import NonFiniteInput, TooFewObservations, ZeroVarianceColumn
 
 EPS = np.finfo(float).eps
 
@@ -34,7 +34,6 @@ class DataMatrix:
 
     values: np.ndarray
     column_names: tuple
-    centered: bool = True
     scaling: str = "none"
     column_means: np.ndarray = None
     column_scales: np.ndarray = None
@@ -56,34 +55,25 @@ class DataMatrix:
         """trace(S) = squared Frobenius norm of the centered matrix."""
         return float(np.sum(self.values**2))
 
-    def subset(self, indices):
-        """New DataMatrix restricted to the given columns."""
-        indices = list(indices)
-        return DataMatrix(
-            values=self.values[:, indices],
-            column_names=tuple(self.column_names[i] for i in indices),
-            centered=self.centered,
-            scaling=self.scaling,
-            column_means=self.column_means[indices],
-            column_scales=self.column_scales[indices],
-        )
-
 
 def center_scale(raw, scaling="none", column_names=None):
     """Center columns to zero mean, optionally scale to unit variance.
 
     Parameters
     ----------
-    raw : (n, p) array_like
+    raw : (n, p) array_like, n >= 2 (else ``TooFewObservations``)
     scaling : {'none', 'unit-variance'}
     column_names : sequence of str, optional
+
+    Centering and scaling act column by column, so
+    ``center_scale(raw[:, idx], ...)`` is the DataMatrix of the columns idx.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     n, p = raw.shape
     if n < 2:
-        raise ValueError("need at least 2 observations")
+        raise TooFewObservations(n)
     _check_finite(raw)
     if scaling not in ("none", "unit-variance"):
         raise ValueError(f"unknown scaling mode {scaling!r}")
@@ -107,7 +97,6 @@ def center_scale(raw, scaling="none", column_names=None):
     return DataMatrix(
         values=centered / scales,
         column_names=column_names,
-        centered=True,
         scaling=scaling,
         column_means=means,
         column_scales=scales,

@@ -88,13 +88,10 @@ class InfeasibleOrthogonality(NumericalError):
         )
 
 
-class InitialFitUnderdetermined(NumericalError):
-    def __init__(self, n, p):
-        self.n, self.p = n, p
-        super().__init__(
-            f"cannot start backward selection from the full set: {p} variables "
-            f"but only {n} observations"
-        )
+class TooFewObservations(DataError):
+    def __init__(self, n):
+        self.n = n
+        super().__init__(f"need at least 2 observations, got {n}")
 
 
 class MissingColumn(DataError):

@@ -102,11 +102,12 @@ def rescale_coefficients(v, scaling="unit-l2", lam=None):
     """Rescale each coefficient column to the requested norm.
 
     scaling : 'unit-l2', 'component-unit-norm' (divide column j by lambda_j,
-        producing components with equal L2 norm), 'inverse-eigenvalue'
-        (divide column j by lambda_j**2, i.e. by the eigenvalue of X'X),
-        or 'l1' / 'linf' (unit L_1 / L_inf column norms). Directions are
-        never changed: the output column is a positive multiple of the
-        input column.
+        producing components with equal L2 norm) or 'inverse-eigenvalue'
+        (divide column j by lambda_j**2, i.e. by the eigenvalue of X'X);
+        the CLI's ``--coef-scale`` l2, normalized and eigen-normalized.
+        Directions are never changed: the output column is a positive
+        multiple of the input column. Unit L_1 or L_inf norms, which
+        thresholds use, are ``selection.rescale_to_unit_norm``.
     """
     v = np.asarray(v, float)
     zero = np.nonzero(np.linalg.norm(v, axis=0) == 0.0)[0]
@@ -122,8 +123,4 @@ def rescale_coefficients(v, scaling="unit-l2", lam=None):
         return v / np.asarray(lam, float) ** 2
     if scaling == "unit-l2":
         return v / np.linalg.norm(v, axis=0)
-    if scaling == "l1":
-        return v / np.sum(np.abs(v), axis=0)
-    if scaling == "linf":
-        return v / np.max(np.abs(v), axis=0)
     raise ValueError(f"unknown coefficient scaling {scaling!r}")

@@ -225,14 +225,6 @@ def pca_report(x, d, config_echo, response=None):
     )
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
 def _thaw(value):
     """A JSON value with its arrays back as the tuples a report holds."""
     return tuple(_thaw(v) for v in value) if isinstance(value, list) else value
@@ -256,8 +248,10 @@ def emit(report, fmt="tsv"):
     """Serialize a report: 'json' is lossless, 'tsv' mirrors the table
     presentation (whole-percent contributions, one decimal for vexp)."""
     if fmt == "json":
-        # the dataclasses are the schema: their fields, in order
-        return (json.dumps(asdict(report), indent=2, default=_json_default) + "\n").encode()
+        # the dataclasses are the schema: their fields, in order. A report
+        # holds Python scalars, tuples and dicts (np.float64 is a float); a
+        # config echo of other types is the caller's to convert
+        return (json.dumps(asdict(report), indent=2) + "\n").encode()
     if fmt != "tsv":
         raise ValueError(f"unknown format {fmt!r}")
 

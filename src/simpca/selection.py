@@ -96,11 +96,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _LS_CUT, _add_r2, _drop_r2, _ls_state, _pinv_diag, r2_add_drop, r_squared
-from .errors import (
-    EmptySupport,
-    ExhaustedSchedule,
-    InitialFitUnderdetermined,
-)
+from .errors import EmptySupport, ExhaustedSchedule
 
 _GAIN_EPS = 1e-15
 # Backward selection's downdated state is that of the normal equations, so
@@ -521,42 +517,19 @@ def _downdate(rr, beta, gram_inv, active, j):
     return rr + bj**2 / hjj, beta, gram_inv, active
 
 
-def backward_select(x, target, alpha, start="auto"):
+def backward_select(x, target, alpha):
     """Drop variables while the best remaining fit keeps R^2 >= alpha.
 
-    start: 'full' (all variables; requires p <= n), 'forward' (seed from the
-    forward solution at alpha), 'auto' (full when p <= n, else forward), or
-    a non-empty sequence of distinct integer column indices in 0 .. p-1.
+    Starts from every column when p <= n. With more columns than
+    observations the full fit is underdetermined, so it starts from the
+    forward solution at alpha. To start from the columns cols instead, run
+    ``backward_select(np.asarray(x)[:, cols], target, alpha)``, whose
+    indices are positions in cols.
     """
     _check_alpha(alpha)
     values = np.asarray(x, float)
     n, p = values.shape
-    if isinstance(start, str):
-        if start not in ("auto", "full", "forward"):
-            raise ValueError(f"unknown start {start!r}: expected 'auto', 'full', "
-                             "'forward' or a sequence of column indices")
-        if start == "auto":
-            start = "full" if p <= n else "forward"
-        if start == "full":
-            if p > n:
-                raise InitialFitUnderdetermined(n, p)
-            chosen = list(range(p))
-        else:
-            chosen = list(forward_select(x, target, alpha).indices)
-    else:
-        chosen = []
-        for i in start:
-            try:
-                i = operator.index(i)
-            except TypeError:
-                raise ValueError(f"start index {i} is not an integer") from None
-            if not 0 <= i < p:
-                raise ValueError(f"start index {i} is not a column of 0 .. {p - 1}")
-            if i in chosen:
-                raise ValueError(f"start index {i} appears more than once")
-            chosen.append(i)
-        if not chosen:
-            raise ValueError("start holds no column index")
+    chosen = list(range(p)) if p <= n else list(forward_select(values, target, alpha).indices)
     trace = [("+", i, None) for i in chosen]
     y = np.asarray(target, float)
     yy = float(y @ y)

@@ -5,7 +5,7 @@ import pytest
 
 from simpca import center_scale, solve_ls, svd, vif
 from simpca.core import DataMatrix, r_squared
-from simpca.errors import NonFiniteInput, ZeroVarianceColumn
+from simpca.errors import NonFiniteInput, TooFewObservations, ZeroVarianceColumn
 
 from conftest import random_data
 
@@ -47,17 +47,11 @@ def test_center_scale_errors():
         center_scale(np.array([[1.0, np.nan], [2.0, 3.0]]))
     with pytest.raises(ZeroVarianceColumn):
         center_scale(np.array([[1.0, 5.0], [2.0, 5.0]]), scaling="unit-variance")
-    with pytest.raises(ValueError):
+    # too few rows is a data error, not a configuration one
+    with pytest.raises(TooFewObservations):
         center_scale(np.ones((1, 3)))
     with pytest.raises(ValueError):
         center_scale(np.ones((4, 2)), scaling="standardize")
-
-
-def test_subset_keeps_metadata():
-    x = center_scale(np.arange(12.0).reshape(4, 3), column_names=("a", "b", "c"))
-    sub = x.subset([2, 0])
-    assert sub.column_names == ("c", "a")
-    assert np.allclose(sub.values, x.values[:, [2, 0]])
 
 
 def test_svd_reconstruction_and_rank():

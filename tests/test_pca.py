@@ -13,6 +13,7 @@ from simpca import (
 from simpca.core import DataMatrix
 from simpca.errors import RankExceeded, ZeroColumn, ZeroComponent
 from simpca.pca import fix_signs
+from simpca.selection import rescale_to_unit_norm
 
 from conftest import random_data
 
@@ -142,18 +143,15 @@ def test_rescale_modes_norms():
     lam = np.array([5.0, 2.0, 0.7])
     unit = rescale_coefficients(v, "unit-l2")
     assert np.allclose(np.linalg.norm(unit, axis=0), 1.0)
-    l1 = rescale_coefficients(v, "l1")
-    assert np.allclose(np.sum(np.abs(l1), axis=0), 1.0)
-    linf = rescale_coefficients(v, "linf")
-    assert np.allclose(np.max(np.abs(linf), axis=0), 1.0)
     norm = rescale_coefficients(v, "component-unit-norm", lam=lam)
     assert np.allclose(norm, v / lam)
     eig = rescale_coefficients(v, "inverse-eigenvalue", lam=lam)
     assert np.allclose(eig, v / lam**2)
     with pytest.raises(ValueError):
         rescale_coefficients(v, "component-unit-norm")
-    with pytest.raises(ValueError):
-        rescale_coefficients(v, "unit-l7")
+    for unknown in ("unit-l7", "l1", "linf"):
+        with pytest.raises(ValueError, match="unknown coefficient scaling"):
+            rescale_coefficients(v, unknown)
     with pytest.raises(ZeroColumn):
         rescale_coefficients(np.zeros((4, 1)), "unit-l2")
 
@@ -167,8 +165,6 @@ def test_rescale_argsort_invariance():
     ranks = None
     for mode, kw in [
         ("unit-l2", {}),
-        ("l1", {}),
-        ("linf", {}),
         ("component-unit-norm", {"lam": lam}),
         ("inverse-eigenvalue", {"lam": lam}),
     ]:
@@ -181,11 +177,14 @@ def test_rescale_argsort_invariance():
 def test_unit_lm_lower_bound():
     # after unit-L_m scaling of a length-p column, max|coef| >= p^(-1/m)
     rng = np.random.default_rng(9)
-    for m, mode in [(1, "l1"), (2, "unit-l2")]:
+    for m in (1, 2, np.inf):
         for _ in range(20):
             p = int(rng.integers(2, 15))
-            v = rescale_coefficients(rng.standard_normal((p, 1)), mode)
+            v = rescale_to_unit_norm(rng.standard_normal(p), m)
             assert np.max(np.abs(v)) >= p ** (-1.0 / m) - 1e-12
+    # unit-l2 coefficient columns are the m = 2 case
+    v = rescale_coefficients(rng.standard_normal((9, 3)), "unit-l2")
+    assert np.all(np.max(np.abs(v), axis=0) >= 9 ** -0.5 - 1e-12)
 
 
 def test_component_unit_norm_gives_equal_score_norms():

@@ -346,6 +346,11 @@ def test_cli_exit_codes(tmp_path, capsys):
          "--nd", "2"]
     )
     assert code == 3
+    # data error, not config: one observation cannot be centered
+    path = _write(tmp_path, "a,b\n1,2\n", name="one.csv")
+    capsys.readouterr()
+    assert main(["pca", "--input", path, "--scale", "none", "--nd", "1"]) == 3
+    assert "data error: need at least 2 observations" in capsys.readouterr().err
     # config error: kappa without cf
     code = main(
         [
@@ -403,6 +408,66 @@ def test_cli_exit_codes(tmp_path, capsys):
         )
         assert code == 2
         assert "requested 4 components but numerical rank is 3" in capsys.readouterr().err
+    # numerical failures on eurojobs
+    base = ["simpca", "--input", EUROJOBS, "--id-column", "country"]
+    cases = [
+        # EmptySupport: no unit-L2 coefficient reaches 0.99
+        (["--scale", "none", "--nr", "3", "--nd", "2", "--select", "threshold",
+          "--norm", "2", "--threshold", "0.99"],
+         "numerical failure: no coefficient survives the threshold 0.99"),
+        # InfeasibleOrthogonality: a one-variable support cannot be
+        # uncorrelated with the first component
+        (["--scale", "unit-variance", "--nr", "4", "--nd", "4", "--method", "uspca",
+          "--select", "forward", "--alpha", "0.5"],
+         "numerical failure: support of size 1 cannot satisfy 1 orthogonality constraints"),
+    ]
+    for argv, message in cases:
+        assert main(base + argv) == 4
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err
+
+
+def test_cli_rotate_has_no_format_flag(capsys):
+    # rotate writes its table as TSV only
+    with pytest.raises(SystemExit) as exc:
+        main(["rotate", "--input", EUROJOBS, "--id-column", "country", "--scale",
+              "none", "--nr", "3", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+def _tsv_and_json(tmp_path, argv):
+    """The TSV lines and the JSON of one CLI run."""
+    tsv, js = tmp_path / "out.tsv", tmp_path / "out.json"
+    assert main(argv + ["--out", str(tsv)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(js)]) == 0
+    return tsv.read_text().splitlines(), json.loads(js.read_text())
+
+
+def test_cli_response_block_matches_json(tmp_path):
+    lines, data = _tsv_and_json(
+        tmp_path, ["pca", "--input", EUROJOBS, "--id-column", "country", "--scale",
+                   "none", "--response", "agriculture", "--nd", "3"])
+    # the response block comes last
+    block = lines[lines.index("# response r2") + 1:]
+    assert block[0] == "components\tr2"
+    rows = [row.split("\t") for row in block[1:]]
+    assert [k for k, _ in rows] == ["1", "2", "3"]
+    assert len(data["response_r2"]) == 3
+    for (_, cell), r2 in zip(rows, data["response_r2"]):
+        assert float(cell) == round(r2, 3)
+
+
+def test_cli_one_component_report_has_no_correlations(tmp_path):
+    lines, data = _tsv_and_json(
+        tmp_path, ["simpca", "--input", EUROJOBS, "--id-column", "country", "--scale",
+                   "none", "--nr", "4", "--nd", "1", "--select", "forward",
+                   "--alpha", "0.9"])
+    labels = {row.split("\t")[0] for row in lines}
+    assert "comp1" in labels and "comp2" not in labels
+    assert "# component correlations" not in lines
+    assert len(data["components"]) == 1
+    assert data["correlations"] == []
 
 
 def test_cli_malformed_csv_is_data_error(tmp_path, capsys):

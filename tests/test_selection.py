@@ -24,11 +24,7 @@ from simpca import (
 )
 from simpca import selection
 from simpca.core import r2_add_drop, r_squared, vif
-from simpca.errors import (
-    EmptySupport,
-    ExhaustedSchedule,
-    InitialFitUnderdetermined,
-)
+from simpca.errors import EmptySupport, ExhaustedSchedule
 from simpca.selection import rescale_to_unit_norm, select_support
 
 from conftest import random_data, time_limit
@@ -303,9 +299,11 @@ def test_backward_underdetermined_start():
     rng = np.random.default_rng(10)
     x = random_data(rng, n=6, p=9)
     target = x.values @ rng.standard_normal(9)
-    with pytest.raises(InitialFitUnderdetermined):
-        backward_select(x, target, 0.9, start="full")
-    sup = backward_select(x, target, 0.9)  # auto falls back to a forward seed
+    # 9 columns, 6 rows: the full fit is underdetermined, so backward starts
+    # from the forward solution
+    sup = backward_select(x, target, 0.9)
+    start = forward_select(x, target, 0.9).indices
+    assert sup.trace[:len(start)] == tuple(("+", i, None) for i in start)
     assert sup.r2 >= 0.9 or sup.cardinality == 9
 
 
@@ -508,19 +506,13 @@ def _stepwise_loop(x, target, alpha, entry, exit, cap, best_addition, best_remov
     return selection.SupportSet(indices=tuple(chosen), r2=r2, trace=tuple(trace))
 
 
-def _backward_loop(x, target, alpha, start, best_removal):
+def _backward_loop(x, target, alpha, best_removal):
     """backward_select as a loop of one ``best_removal`` call per step, the
-    way it ran before it downdated one fit; start as backward_select
-    resolves it."""
+    way it ran before it downdated one fit, from the same start: every
+    column when p <= n, else the forward solution."""
     values = np.asarray(x, float)
     n, p = values.shape
-    if start == "auto":
-        start = "full" if p <= n else "forward"
-    if start == "full":
-        start = range(p)
-    elif start == "forward":
-        start = forward_select(x, target, alpha).indices
-    chosen = list(start)
+    chosen = list(range(p)) if p <= n else list(forward_select(x, target, alpha).indices)
     r2 = _lstsq_r_squared(values[:, chosen], target)
     trace = [("+", i, None) for i in chosen]
     while len(chosen) > 1:
@@ -540,7 +532,7 @@ def _kernel_and_oracle(kind, x, target, alpha, entry, exit, cap):
                 _forward_loop(x, target, alpha, cap, _lstsq_best_addition))
     if kind == "backward":
         return (backward_select(x, target, alpha),
-                _backward_loop(x, target, alpha, "auto", _lstsq_best_removal))
+                _backward_loop(x, target, alpha, _lstsq_best_removal))
     return (stepwise_select(x, target, alpha, entry, exit, cap),
             _stepwise_loop(x, target, alpha, entry, exit, cap,
                            _lstsq_best_addition, _lstsq_best_removal))
@@ -665,9 +657,9 @@ def _assert_same_as_loops(x, target, alpha, entry=1e-6, exit=1e-6, cap=None):
                                       _best_addition, _best_removal))
 
 
-def _assert_same_backward(x, target, alpha, start="auto"):
-    _assert_same_steps(backward_select(x, target, alpha, start),
-                       _backward_loop(x, target, alpha, start, _best_removal))
+def _assert_same_backward(x, target, alpha):
+    _assert_same_steps(backward_select(x, target, alpha),
+                       _backward_loop(x, target, alpha, _best_removal))
 
 
 @contextmanager
@@ -819,7 +811,7 @@ def test_backward_matches_per_step_loop_on_factor_data():
         p = int(rng.integers(8, 41))
         x = random_data(rng, n=int(rng.integers(5, p)), p=p)
         target = x.values @ rng.standard_normal(p)
-        _assert_same_backward(x, target, 0.9, start="forward")
+        _assert_same_backward(x, target, 0.9)
 
 
 @contextmanager
@@ -891,30 +883,3 @@ def test_backward_takes_its_starting_r2_from_the_first_seed():
     assert kept.indices == tuple(range(8)) and kept.r2 == r_squared(x, target)
     assert len(svds) == 1
     assert got.trace[:8] == kept.trace
-
-
-@pytest.mark.parametrize("start, problem", [
-    ([0, 0, 1], "index 0 appears more than once"),
-    ([-1, 0, 1], "index -1 is not a column"),
-    ([7, 0], "index 7 is not a column"),
-    ("fulll", "unknown start 'fulll'"),
-    ([], "start holds no column index"),
-    ([0.7, 1], "index 0.7 is not an integer"),
-    (np.array([0.0, 1.0]), "index 0.0 is not an integer"),
-])
-def test_backward_rejects_bad_start(start, problem):
-    rng = np.random.default_rng(18)
-    x = random_data(rng, n=10, p=5)
-    with pytest.raises(ValueError, match=problem):
-        backward_select(x, x.values[:, 0].copy(), 0.9, start=start)
-
-
-def test_backward_takes_an_array_start():
-    # an ndarray compares with 'auto' or 'full' elementwise, so the start
-    # must be told apart from the strings by its type
-    rng = np.random.default_rng(18)
-    x = random_data(rng, n=10, p=5)
-    target = x.values[:, 0] + x.values[:, 1]
-    got = backward_select(x, target, 0.9, start=np.array([0, 1, 2]))
-    assert got == backward_select(x, target, 0.9, start=[0, 1, 2])
-    assert got.indices == (0, 1)
