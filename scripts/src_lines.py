@@ -5,12 +5,11 @@ A code line holds a token that is not part of a comment or a docstring, so
 blank lines, comment lines and docstrings are not code. Prints one row per
 module and the totals, as TSV.
 
-Usage: python3 scripts/src_lines.py [package directory]
+Usage: python3 scripts/src_lines.py
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -41,11 +40,10 @@ def count(source):
     return len(source.splitlines()), len(code)
 
 
-def main(argv):
-    package = Path(argv[1]) if len(argv) > 1 else PACKAGE
+def main():
     totals = [0, 0]
     print("module\tlines\tcode")
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         lines, code = count(path.read_text(encoding="utf-8"))
         totals[0] += lines
         totals[1] += code
@@ -54,4 +52,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    main()
