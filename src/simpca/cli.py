@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import core, pca, report, rotation, selection, sparse
-from .errors import ConfigError, DataError, NumericalError, SimpcaError
+from .errors import ConfigError, ConstantData, DataError, NumericalError, SimpcaError
 
 
 def _common_data_args(p):
@@ -125,6 +125,10 @@ def _load(args):
         delimiter=args.delimiter,
     )
     x = core.center_scale(values, scaling=args.scale, column_names=names)
+    # also true with no feature column; any variance left is centering's
+    # round-off, which the library accepts but no analysis should report
+    if np.all(values == values[0]):
+        raise ConstantData(values.shape[1])
     return x, ids, resp
 
 

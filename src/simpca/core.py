@@ -27,14 +27,13 @@ class DataMatrix:
 
     ``column_means`` and ``column_scales`` are in the raw units, so
     ``values * column_scales + column_means`` reproduces the raw input.
-    With ``scaling='unit-variance'`` columns are divided by the sample
-    standard deviation (denominator n - 1), so every column has sum of
-    squares n - 1.
+    With ``center_scale(..., scaling='unit-variance')`` columns are divided
+    by the sample standard deviation (denominator n - 1), so every column
+    has sum of squares n - 1; otherwise ``column_scales`` is all ones.
     """
 
     values: np.ndarray
     column_names: tuple
-    scaling: str = "none"
     column_means: np.ndarray = None
     column_scales: np.ndarray = None
 
@@ -97,7 +96,6 @@ def center_scale(raw, scaling="none", column_names=None):
     return DataMatrix(
         values=centered / scales,
         column_names=column_names,
-        scaling=scaling,
         column_means=means,
         column_scales=scales,
     )

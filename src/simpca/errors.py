@@ -94,6 +94,15 @@ class TooFewObservations(DataError):
         super().__init__(f"need at least 2 observations, got {n}")
 
 
+class ConstantData(DataError):
+    def __init__(self, p):
+        self.p = p
+        super().__init__(
+            "every feature column is constant: no variance to analyse" if p
+            else "no feature column is left besides the id and response columns"
+        )
+
+
 class MissingColumn(DataError):
     def __init__(self, name):
         self.name = name

@@ -40,10 +40,11 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
     The header is read with the ``csv`` module and the body with one
     ``np.loadtxt`` call in C. A file loadtxt cannot read whole, or in which
     it reads a NaN, goes to a per-cell scan, which raises the typed error,
-    with its row and column, or returns the values: a ``nan`` token is
-    ``MissingValue``, and a token that only Python's ``float()`` reads,
-    such as ``1_0`` or non-ASCII digits, keeps the value ``float()`` gives
-    it. Both readers parse a number to the same double.
+    with its row and column, or returns the block loadtxt would: a ``nan``
+    token is ``MissingValue``, and a token that only Python's ``float()``
+    reads, such as ``1_0`` or non-ASCII digits, keeps the value ``float()``
+    gives it. Both readers parse a number to the same double. The names,
+    features and response are then split from either block alike.
     """
     if delimiter is not None and len(delimiter) != 1:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
@@ -59,8 +60,10 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
         # a missing column, or one named twice, is the scan's to report
         if header and set(named) <= set(header) and len(set(named)) == len(named):
             block, ids = _load_body(fh, delimiter, header, id_column)
-    if block is None or block.shape[1] != len(header) or np.isnan(block).any():
-        return _scan_csv(path, response_column, id_column, delimiter)
+        if block is None or block.shape[1] != len(header) or np.isnan(block).any():
+            fh.seek(0)
+            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row][1:]
+            block, ids = _scan_csv(rows, header, id_column, response_column)
     drop = [header.index(c) for c in named]
     feature_cols = [i for i in range(len(header)) if i not in drop]
     resp = None if response_column is None else block[:, header.index(response_column)].copy()
@@ -88,49 +91,41 @@ def _load_body(fh, delimiter, header, id_column):
     return block, ids
 
 
-def _scan_csv(path, response_column, id_column, delimiter):
-    """Per-cell reading of a CSV, for every file loadtxt does not read
-    whole in ``ingest_csv``: raises the error of the first bad row or cell."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
-    if len(rows) < 2:
+def _scan_csv(rows, header, id_column, response_column):
+    """Per-cell reading of the data rows (lists of cells) under the stripped
+    header, for every file loadtxt does not read whole in ``ingest_csv``.
+
+    Raises the error of the first fault: ``EmptyInput``, ``MissingColumn``,
+    then, row by row, ``RaggedRow`` or a bad cell, the features before the
+    response. Otherwise returns what ``_load_body`` returns: the full-width
+    float block, in which an id column that is not the response reads 0.0,
+    and the stripped ids (None without an id column).
+    """
+    if not rows:
         raise EmptyInput()
-    header = [h.strip() for h in rows[0]]
-    drop = []
     for name in (id_column, response_column):
-        if name is not None:
-            if name not in header:
-                raise MissingColumn(name)
-            drop.append(header.index(name))
-    feature_cols = [i for i in range(len(header)) if i not in drop]
-    names = [header[i] for i in feature_cols]
-    parse_cols = list(feature_cols)
+        if name is not None and name not in header:
+            raise MissingColumn(name)
+    drop = [header.index(c) for c in (id_column, response_column) if c is not None]
+    parse_cols = [i for i in range(len(header)) if i not in drop]
     if response_column is not None:
         parse_cols.append(header.index(response_column))
-
-    ids = []
-    response = []
-    data = []
-    for r, row in enumerate(rows[1:], start=1):
+    block = np.zeros((len(rows), len(header)))
+    ids = None if id_column is None else []
+    for r, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise RaggedRow(r, len(row), len(header))
-        if id_column is not None:
+        if ids is not None:
             ids.append(row[header.index(id_column)].strip())
-        parsed = []
         for c in parse_cols:
             cell = row[c].strip()
             if cell.lower() in _MISSING_TOKENS:
                 raise MissingValue(r, header[c])
             try:
-                parsed.append(float(cell))
+                block[r - 1, c] = float(cell)
             except ValueError:
                 raise NonNumericCell(r, header[c]) from None
-        if response_column is not None:
-            response.append(parsed.pop())
-        data.append(parsed)
-    values = np.asarray(data, float)
-    resp = None if response_column is None else np.asarray(response, float)
-    return names, values, (None if id_column is None else ids), resp
+    return block, ids
 
 
 @dataclass(frozen=True)

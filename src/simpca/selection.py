@@ -156,6 +156,12 @@ class SelectionStrategy:
     exit: float = 1e-6
     max_cardinality: int = None
 
+    def __post_init__(self):
+        if self.kind not in ("fixed-threshold", "adaptive-threshold",
+                             "iterative-reverse-threshold", "forward", "backward",
+                             "stepwise"):
+            raise ValueError(f"unknown selection strategy {self.kind!r}")
+
 
 def rescale_to_unit_norm(coefficients, norm_m=2):
     """Rescale a coefficient vector to unit L_m norm (m in {1, 2, np.inf})."""
@@ -616,8 +622,6 @@ def select_support(x, target, coefficients, strategy):
             x, target, strategy.alpha, strategy.entry, strategy.exit,
             strategy.max_cardinality,
         )
-    else:
-        raise ValueError(f"unknown selection strategy {strategy.kind!r}")
     if support.r2 is None and target is not None:
         support = SupportSet(
             indices=support.indices,

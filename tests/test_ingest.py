@@ -101,7 +101,8 @@ NUMBERS = ["0", "-0", "1", "2.5", "-3.25e-7", "1e300", "4.9e-324", "0.1", "7",
            '"2.5"', '"2.5" ', "1e-310"]
 ODD = ["nan", "NaN", "-nan", "na", "N/A", "null", "", " ", "?", ".", "1_0", "١",
        "abc", "0x10", "1d5", ' "2.5"', '2"5', '"1""2"', '"1,5"', "1 2", " 1"]
-NAMES = ["a", "b", " c ", "id", "y", "x1", '"q"']
+# " c " and "c", '"q"' and "q" parse to the same name: a repeated column name
+NAMES = ["a", "b", " c ", "c", "id", "y", "x1", '"q"', "q"]
 
 
 def _one_in(k):

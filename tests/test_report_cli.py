@@ -1,7 +1,6 @@
 """CSV ingestion, report assembly/serialization, and the CLI front end."""
 
 import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -425,6 +424,28 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(base + argv) == 4
         out = capsys.readouterr()
         assert out.out == "" and message in out.err
+
+
+def test_cli_data_without_variation_is_a_data_error(tmp_path, capsys):
+    constant = "every feature column is constant"
+    cases = [
+        ("a,b\n1,5\n1,5\n", ["pca", "--scale", "none", "--nd", "0"], constant),
+        ("a,b\nx,1\ny,2\nz,3\n",
+         ["pca", "--id-column", "a", "--response", "b", "--scale", "none", "--nd", "1"],
+         "no feature column is left"),
+        # centering 0.1 leaves round-off that a PCA would report as 100%
+        ("a,b,c\n" + "0.1,0.1,7\n" * 3,
+         ["simpca", "--scale", "none", "--nr", "2", "--nd", "1"], constant),
+    ]
+    for text, argv, message in cases:
+        path = _write(tmp_path, text)
+        assert main(argv + ["--input", path]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and f"data error: {message}" in out.err
+    # unit-variance scaling names the first constant column, as before
+    assert main(["pca", "--input", _write(tmp_path, "a,b\n1,5\n1,5\n"), "--scale",
+                 "unit-variance", "--nd", "0"]) == 4
+    assert "column 0 has zero variance" in capsys.readouterr().err
 
 
 def test_cli_rotate_has_no_format_flag(capsys):

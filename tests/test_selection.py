@@ -1,6 +1,5 @@
 """Support selection: thresholding variants and regression subset search."""
 
-import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -367,6 +366,12 @@ def test_select_support_dispatch_and_r2_fill():
         assert sup.r2 is not None  # threshold kinds get R^2 filled in
     with pytest.raises(ValueError):
         select_support(x, target, coefs, SelectionStrategy(kind="lasso"))
+
+
+def test_unknown_selection_kind_fails_at_construction():
+    # before run_simpca spends a PCA and a rotation on the configuration
+    with pytest.raises(ValueError, match="unknown selection strategy 'bogus'"):
+        SelectionStrategy(kind="bogus")
 
 
 def test_alpha_validation():
