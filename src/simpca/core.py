@@ -16,9 +16,9 @@ EPS = np.finfo(float).eps
 
 
 def _check_finite(values):
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        raise NonFiniteInput(int(bad[0, 0]), int(bad[0, 1]))
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise NonFiniteInput(int(row), int(col))
 
 
 @dataclass(frozen=True)

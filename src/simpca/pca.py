@@ -36,11 +36,8 @@ def fix_signs(v):
     Returns (flipped matrix, sign vector).
     """
     v = np.asarray(v, float)
-    signs = np.ones(v.shape[1])
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            signs[j] = -1.0
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    signs = np.where(top < 0, -1.0, 1.0)
     return v * signs, signs
 
 

@@ -35,7 +35,8 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
     Rows with missing cells are rejected; imputation is not supported. A
     file without data rows, or with a row whose cell count differs from the
     header's, is rejected too, and so is a delimiter of other than one
-    character (``ConfigError``).
+    character (``ConfigError``). The file is read as UTF-8, and a leading
+    byte-order mark, as spreadsheet programs write, is skipped.
 
     The header is read with the ``csv`` module and the body with one
     ``np.loadtxt`` call in C. A file loadtxt cannot read whole, or in which
@@ -48,7 +49,7 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
     """
     if delimiter is not None and len(delimiter) != 1:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         sample = fh.read(4096)
         fh.seek(0)
         if delimiter is None:

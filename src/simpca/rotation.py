@@ -16,6 +16,13 @@ can rotate all of its planes in one batched product and still give every
 plane the same two rows, and the sweep the same bits, as a plane-by-plane
 loop.
 
+Consecutive sweeps overlap. Row j meets its planes at levels j .. j + d - 1
+(row 0 from level 1, row d - 1 up to level 2d - 3), so level l + d of one
+sweep and level l of the next share no row and run as one batch: after the
+first, a sweep costs d batches instead of 2d - 3. Each row is copied aside
+as it ends a sweep, so the trace, the convergence test and the result read
+the bits of sweeps run one after another.
+
 Restarts run together, as lanes of one sweep: the row blocks of all running
 restarts are stacked, and a level turns the planes of every lane at once.
 Each plane still sees only its own lane's two rows, so every restart gets
@@ -142,43 +149,98 @@ def _lane_rows(b, o):
     return np.hstack([b.T, o.T])
 
 
-def _sweep(rows, p, kappa):
-    """One full cycle of pairwise plane rotations of every lane, in place.
+@functools.lru_cache(maxsize=None)
+def _batches(d, lanes, first, ahead):
+    """The batches of one ``_sweep`` call, as (pairs, ends) per batch.
 
-    ``rows`` stacks the lanes' row blocks (b' | o') along the rows, column
-    major, as ``np.vstack`` of ``_lane_rows``; lane r holds rows r * d ..
+    ``pairs`` is a level of this sweep, from level 1 when ``first`` and
+    otherwise from the first level the previous call left to run. With
+    ``ahead``, a level above lag = min(d, 2d - 3) also holds the next
+    sweep's level that is lag lower. ``ends`` picks the rows that end this
+    sweep at that level, row j at level min(j + d - 1, 2d - 3), or None.
+    With no level of the next sweep in the call, every row is taken at the
+    last batch instead, as a full slice.
+    """
+    levels = _levels(d, lanes)
+    lag = min(d, 2 * d - 3)
+    overlap = ahead and 2 * d - 3 > lag
+    offsets = d * np.arange(lanes)[:, None]
+    batches = []
+    for level in range(1 if first else 2 * d - 2 - lag, 2 * d - 2):
+        pairs, ends = levels[level - 1], None
+        if overlap and level > lag:
+            pairs = np.vstack([pairs, levels[level - lag - 1]])
+        ending = [j for j in range(d) if min(j + d - 1, 2 * d - 3) == level]
+        if overlap and ending:
+            ends = (offsets + ending).ravel()
+        batches.append((pairs, ends))
+    if not overlap:
+        batches[-1] = (batches[-1][0], slice(None))
+    return tuple(batches)
+
+
+def _turn(rows, pairs, p, kappa):
+    """Turn each plane of ``pairs``, an (m, 2) array of row pairs in which
+    no row appears twice, to its optimal angle, in place.
+
+    The gathered (p + d, m, 2) block holds each plane's (u, v) side by
+    side, so its first p rows read as complex z = u + iv. A sign of zero
+    in the real part can differ from ``u + 1j*v``, but only in a zero
+    imaginary part of w = z^2, which the sums wash out: numpy's reductions
+    start from +0. Each plane's sum w and w . w come from one contiguous
+    w, and its angle from the scalar ``_plane_angle`` and ``math`` trig
+    (numpy's ``arctan2`` rounds differently); the planes with a nonzero
+    angle turn in one batched 2 x 2 product.
+    """
+    gathered = rows.T.take(pairs, axis=1)
+    w = gathered[:p].view(complex)[..., 0].T.copy()
+    np.square(w, out=w)
+    sums = w.sum(axis=1).tolist()
+    squares = np.matmul(w[:, None, :], w[:, :, None]).ravel().tolist()
+    turned, turns = [], []
+    for i, (s, sq) in enumerate(zip(sums, squares)):
+        theta = _plane_angle(s, sq, kappa)
+        if theta != 0.0:
+            ct, st = math.cos(theta), math.sin(theta)
+            turned.append(i)
+            turns += (ct, st, -st, ct)
+    if not turns:
+        return
+    block = gathered.transpose(1, 2, 0)  # (m, 2, p + d)
+    if len(turned) < len(pairs):
+        pairs = pairs[turned]
+        block = block[turned]
+    rows[pairs] = np.array(turns).reshape(-1, 2, 2) @ block
+
+
+def _sweep(rows, done, p, kappa, first, ahead):
+    """Finish one cycle of pairwise plane rotations of every lane, in place,
+    and leave each row's state at the end of that cycle in ``done``.
+
+    ``rows`` stacks the lanes' row blocks (b' | o') along the rows, as
+    ``np.vstack`` of ``_lane_rows``; lane r holds rows r * d ..
     r * d + d - 1, and its plane (j, k) reads and rotates its rows j and k.
     The planes run in the cyclic order (0, 1), (0, 2), ..., (d - 2, d - 1),
     one level j + k at a time: the planes of a level share no row, and the
     planes touching row j, (0, j), ..., (j - 1, j), (j, j + 1), ...,
     (j, d - 1), have strictly increasing levels, so every plane sees the
-    same two rows as in a plane-by-plane loop over its lane alone. A level
-    forms sum w and w . w of all its planes, in every lane, in two numpy
-    calls, takes each angle with the scalar ``_plane_angle`` and ``math``
-    trig, and rotates its planes with a nonzero angle in one batched 2 x 2
-    product. The reductions see one contiguous w per plane and the product
-    sees column-major row pairs, as in the plane-by-plane loop, so both
-    round the same way, signed zeros and subnormals included.
+    same two rows as in a plane-by-plane loop over its lane alone.
+
+    Row j's planes span levels j .. j + d - 1 (row 0: 1 .. d - 1, row d - 1:
+    d - 1 .. 2d - 3), so level l + d of one sweep and level l of the next
+    share no row either, and each row still ends one sweep before it starts
+    the next. With ``ahead`` a call runs the next sweep's first d - 3
+    levels (none for d <= 3) in the same batches as this sweep's last ones,
+    and the next call (``first`` false) starts where it stopped: after the
+    first, a sweep costs d batches instead of 2d - 3. ``done`` takes each
+    row as it ends this sweep, before the next sweep turns it (see
+    ``_batches``), so it holds the bits of a sweep that stopped there.
     """
     d = rows.shape[1] - p
-    for pairs in _levels(d, rows.shape[0] // d):
-        block = rows.T.take(pairs, axis=1).transpose(1, 2, 0)  # (m, 2, p + d)
-        w = np.ascontiguousarray((block[:, 0, :p] + 1j * block[:, 1, :p]) ** 2)
-        sums = w.sum(axis=1).tolist()
-        squares = np.matmul(w[:, None, :], w[:, :, None]).ravel().tolist()
-        turned, turns = [], []
-        for i, (s, sq) in enumerate(zip(sums, squares)):
-            theta = _plane_angle(s, sq, kappa)
-            if theta != 0.0:
-                ct, st = math.cos(theta), math.sin(theta)
-                turned.append(i)
-                turns += (ct, st, -st, ct)
-        if not turns:
-            continue
-        if len(turned) < len(pairs):
-            pairs = pairs[turned]
-            block = block[turned]
-        rows[pairs] = np.array(turns).reshape(-1, 2, 2) @ block
+    for pairs, ends in _batches(d, rows.shape[0] // d, first, ahead):
+        _turn(rows, pairs, p, kappa)
+        if ends is not None:
+            done[ends] = rows[ends]
 
 
 def _trace_value(b, criterion, kappa):
@@ -213,7 +275,7 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     ``_sweep``), and a lane retires when it converges, so each restart gets
     the same bits as a rotation of its own, while a level's numpy calls are
     paid once for all running lanes: at 4 sweeps of a 48 x 16 matrix, 2
-    restarts cost about 1.3 times one and 8 restarts about 3.5 times. The
+    restarts cost about 1.5 times one and 8 restarts about 4.7 times. The
     best final criterion wins, ties broken by the lower restart index, and
     ``RotationResult.restart`` names the winner. The sweeps are a local
     search: with one restart, on input without a clear simple structure,
@@ -245,23 +307,25 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     converged = [False] * restarts
     sweeps = [0] * restarts
     running = list(range(restarts))
-    rows = None
+    rows = np.vstack([_lane_rows(b, o) for b, o in zip(b_lanes, o_lanes)])
+    done = np.empty_like(rows)
     for sweep in range(1, max_sweeps + 1):
-        if rows is None:
-            rows = np.vstack([_lane_rows(b_lanes[r], o_lanes[r]) for r in running])
-        _sweep(rows, p, kappa)
+        _sweep(rows, done, p, kappa, sweep == 1, sweep < max_sweeps)
         for lane, r in enumerate(running):
-            b_lanes[r][...] = rows[lane * d : (lane + 1) * d, :p].T
-            o_lanes[r][...] = rows[lane * d : (lane + 1) * d, p:].T
+            b_lanes[r][...] = done[lane * d : (lane + 1) * d, :p].T
+            o_lanes[r][...] = done[lane * d : (lane + 1) * d, p:].T
             trace = traces[r]
             trace.append(_trace_value(b_lanes[r], criterion, kappa))
             sweeps[r] = sweep
             converged[r] = abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2]))
         if any(converged[r] for r in running):
-            running = [r for r in running if not converged[r]]
-            if not running:
+            # a converged lane's start on its next sweep is dropped
+            keep = [lane for lane, r in enumerate(running) if not converged[r]]
+            if not keep:
                 break
-            rows = None  # rebuilt from the lanes still running
+            running = [running[lane] for lane in keep]
+            idx = (d * np.array(keep)[:, None] + np.arange(d)).ravel()
+            rows, done = rows[idx], done[idx]
 
     best = 0
     for r in range(1, restarts):

@@ -180,10 +180,11 @@ def rescale_to_unit_norm(coefficients, norm_m=2):
 def threshold_support(coefficients, t, norm_m=2):
     """Indices whose |coefficient| >= t after unit L_m rescaling.
 
-    Every |a_i| is at most 1 after that rescaling, so a t above 1 (or NaN)
-    could never keep a variable and is a configuration error."""
-    if not t <= 1:
-        raise ValueError("threshold must be at most 1")
+    Every |a_i| is at most 1 after that rescaling, so a t above 1 could
+    never keep a variable, and one below 0 would keep every variable under
+    a cut that means nothing: either (or NaN) is a configuration error."""
+    if not 0 <= t <= 1:
+        raise ValueError("threshold must be in [0, 1]")
     a = rescale_to_unit_norm(coefficients, norm_m)
     indices = tuple(int(i) for i in np.nonzero(np.abs(a) >= t)[0])
     if not indices:

@@ -45,6 +45,10 @@ def test_unit_variance_sum_of_squares():
 def test_center_scale_errors():
     with pytest.raises(NonFiniteInput):
         center_scale(np.array([[1.0, np.nan], [2.0, 3.0]]))
+    # the first bad cell in row order is the one named
+    with pytest.raises(NonFiniteInput) as err:
+        center_scale(np.array([[1.0, 2.0], [3.0, np.inf], [np.nan, 4.0]]))
+    assert (err.value.row, err.value.col) == (1, 1)
     with pytest.raises(ZeroVarianceColumn):
         center_scale(np.array([[1.0, 5.0], [2.0, 5.0]]), scaling="unit-variance")
     # too few rows is a data error, not a configuration one

@@ -201,3 +201,16 @@ def test_fix_signs():
     flipped, signs = fix_signs(v)
     assert np.array_equal(signs, [-1.0, -1.0])
     assert flipped[1, 0] > 0 and flipped[0, 1] > 0
+    # the loop it replaced: the first largest |entry| of a column sets its
+    # sign, ties and zeros included
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        v = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), int(rng.integers(1, 5))))
+        v = v * rng.choice([0.5, -0.0], size=v.shape)
+        want = np.ones(v.shape[1])
+        for j in range(v.shape[1]):
+            if v[int(np.argmax(np.abs(v[:, j]))), j] < 0:
+                want[j] = -1.0
+        flipped, signs = fix_signs(v)
+        assert np.array_equal(signs, want)
+        assert flipped.tobytes() == (v * want).tobytes()

@@ -378,11 +378,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         code = main(["pca", "--input", EUROJOBS, "--delimiter", delimiter,
                      "--scale", "none", "--nd", "2"])
         assert code == 2
-    # config error: no variable survives a fixed threshold above 1
-    code = main(["simpca", "--input", EUROJOBS, "--id-column", "country",
-                 "--scale", "none", "--nr", "3", "--nd", "2", "--select",
-                 "threshold", "--threshold", "2"])
-    assert code == 2
+    # config error: no variable survives a fixed threshold above 1, and one
+    # below 0 would keep every variable
+    for threshold in ("2", "-1"):
+        code = main(["simpca", "--input", EUROJOBS, "--id-column", "country",
+                     "--scale", "none", "--nr", "3", "--nd", "2", "--select",
+                     "threshold", "--threshold", threshold])
+        assert code == 2
     # config error: an adaptive schedule that is not finite (t0 inf would
     # otherwise step forever, and a NaN exhaust as a numerical failure)
     for flag, value in (("--t0", "inf"), ("--t0", "nan"), ("--step", "nan")):
@@ -446,6 +448,16 @@ def test_cli_data_without_variation_is_a_data_error(tmp_path, capsys):
     assert main(["pca", "--input", _write(tmp_path, "a,b\n1,5\n1,5\n"), "--scale",
                  "unit-variance", "--nd", "0"]) == 4
     assert "column 0 has zero variance" in capsys.readouterr().err
+
+
+def test_cli_reads_a_byte_order_mark(tmp_path, capsys):
+    # spreadsheet programs start a UTF-8 CSV with U+FEFF
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffcountry,x,y\nA,1,2\nB,2,1\nC,4,3\n", encoding="utf-8")
+    assert main(["pca", "--input", str(path), "--id-column", "country", "--scale",
+                 "none", "--nd", "1"]) == 0
+    names, _, ids, _ = ingest_csv(path, id_column="country")
+    assert names == ["x", "y"] and ids == ["A", "B", "C"]
 
 
 def test_cli_rotate_has_no_format_flag(capsys):

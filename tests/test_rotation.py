@@ -19,7 +19,7 @@ from simpca import (
 from simpca import rotation
 from simpca.errors import NonFiniteInput
 from simpca.report import ingest_csv
-from simpca.rotation import _levels, _plane_angle, _random_orthogonal, _sweep
+from simpca.rotation import _batches, _levels, _plane_angle, _random_orthogonal, _sweep
 
 from conftest import EUROJOBS, random_data
 
@@ -221,6 +221,66 @@ def test_level_schedule_is_the_cyclic_order_per_row():
             assert [q for q in planes if row in q] == [q for q in cyclic if row in q]
 
 
+def walk_batches(d, lanes, calls):
+    """Walk the batches of consecutive ``_sweep`` calls, given as (first,
+    ahead), without turning anything. Returns each row's planes (j, k) of
+    its lane in the order it meets them, and per call how many planes each
+    row had met when ``done`` took it (None if never)."""
+    met = [[] for _ in range(d * lanes)]
+    taken = []
+    for first, ahead in calls:
+        counts = [None] * (d * lanes)
+        for pairs, ends in _batches(d, lanes, first, ahead):
+            rows = pairs.ravel().tolist()
+            assert len(set(rows)) == len(rows)  # no row twice in a batch
+            for j, k in pairs.tolist():
+                assert j // d == k // d  # a plane stays within its lane
+                met[j].append((j % d, k % d))
+                met[k].append((j % d, k % d))
+            if ends is not None:
+                for row in np.arange(d * lanes)[ends].tolist():
+                    assert counts[row] is None  # taken once per call
+                    counts[row] = len(met[row])
+        taken.append(counts)
+    return met, taken
+
+
+# consecutive calls as ``rotate`` makes them: one sweep alone, sweeps that
+# run ahead, and a call without ``ahead`` followed by a fresh first call
+SWEEP_CALLS = (
+    [(True, False)],
+    [(True, True), (False, False)],
+    [(True, True), (False, True), (False, True), (False, False)],
+    [(True, False), (True, True), (False, False)],
+)
+
+
+def test_batches_keep_the_cyclic_order_across_sweeps():
+    for d in range(2, 41):
+        cyclic = [(j, k) for j in range(d - 1) for k in range(j + 1, d)]
+        for lanes in (1, 2, 3):
+            for calls in SWEEP_CALLS:
+                met, _ = walk_batches(d, lanes, calls)
+                for row in range(d * lanes):
+                    own = [q for q in cyclic if row % d in q]
+                    assert met[row] == own * len(calls)
+        # after the first call, a sweep that runs ahead costs min(d, 2d - 3)
+        # batches, not 2d - 3
+        assert len(_batches(d, 1, True, True)) == 2 * d - 3
+        assert len(_batches(d, 1, False, True)) == min(d, 2 * d - 3)
+
+
+def test_done_takes_each_row_as_it_ends_its_sweep():
+    # in the call that ends sweep s, ``done`` takes every row once, when it
+    # has met its d - 1 planes of that sweep and none of the next
+    for d in range(2, 41):
+        for lanes in (1, 2, 3):
+            for calls in SWEEP_CALLS:
+                _, taken = walk_batches(d, lanes, calls)
+                for sweep, counts in enumerate(taken, start=1):
+                    assert counts == [sweep * (d - 1)] * (d * lanes)
+
+
 def sweep_inputs(rng, count):
     """Coefficient blocks of many shapes, some with rounded entries (exact
     ties and flat planes), zero rows, zero columns, zeros of both signs and
@@ -270,24 +330,29 @@ def lanes_of(b, o, rng):
 
 
 def test_sweep_matches_cyclic_oracle_bit_for_bit():
-    # every lane of a stacked sweep gets the bits of the plane-by-plane loop
-    # on that lane alone
+    # after every sweep, every lane's rows in ``done`` hold the bits of the
+    # plane-by-plane loop on that lane alone, whether or not the call also
+    # started the next sweep
     rng = np.random.default_rng(14)
-    stacked = 0
+    stacked = overlapped = 0
     for b, o, kappa in sweep_inputs(rng, 400):
         p, d = b.shape
         lanes = lanes_of(b, o, rng)
         stacked += len(lanes) > 1
         refs = [(lb.copy(), lo.copy()) for lb, lo in lanes]
         rows = np.vstack([rotation._lane_rows(lb, lo) for lb, lo in lanes])
+        done = np.empty_like(rows)
+        first = True
         for _ in range(int(rng.integers(1, 6))):
-            _sweep(rows, p, kappa)
-            for ref_b, ref_o in refs:
+            ahead = bool(rng.random() < 0.7)
+            _sweep(rows, done, p, kappa, first, ahead)
+            first = not ahead
+            overlapped += ahead and d > 3
+            for lane, (ref_b, ref_o) in enumerate(refs):
                 cyclic_sweep(ref_b, ref_o, kappa)
-        for lane, (ref_b, ref_o) in enumerate(refs):
-            assert_same_bits(rows[lane * d : (lane + 1) * d, :p].T, ref_b)
-            assert_same_bits(rows[lane * d : (lane + 1) * d, p:].T, ref_o)
-    assert stacked > 250
+                assert_same_bits(done[lane * d : (lane + 1) * d, :p].T, ref_b)
+                assert_same_bits(done[lane * d : (lane + 1) * d, p:].T, ref_o)
+    assert stacked > 250 and overlapped > 400
 
 
 def sequential_rotate(a, criterion, kaiser, tol, max_sweeps, restarts, seed):
@@ -334,7 +399,8 @@ def test_rotate_matches_cyclic_oracle():
     inputs = []
     for trial in range(8):
         p = int(rng.integers(6, 25))
-        d = int(rng.integers(2, min(p, 7) + 1))
+        # d = 2 and 3 run no level of the next sweep ahead, d = 4 one level
+        d = (2, 3, 4)[trial] if trial < 3 else int(rng.integers(2, min(p, 7) + 1))
         a = rng.standard_normal((p, d))
         if trial % 2:
             a[int(rng.integers(p))] = 0.0  # a zero row, kept zero by Kaiser
@@ -345,7 +411,8 @@ def test_rotate_matches_cyclic_oracle():
         for criterion in criteria:
             for kaiser in (False, True):
                 for restarts in (1, 2, 3, 5):
-                    for tol, max_sweeps in ((1e-8, 1000), (1e-5, 6), (1e-3, 3), (0.0, 2)):
+                    for tol, max_sweeps in ((1e-8, 1000), (1e-5, 6), (1e-3, 3), (0.0, 2),
+                                            (0.0, 1)):
                         got = rotate(a, criterion, kaiser=kaiser, tol=tol,
                                      max_sweeps=max_sweeps, restarts=restarts, seed=5)
                         want, runs = sequential_rotate(a, criterion, kaiser, tol,

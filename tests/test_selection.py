@@ -85,6 +85,15 @@ def test_threshold_above_one_is_config_error():
     assert sup.indices == (1,) and sup.threshold_used == pytest.approx(0.85)
 
 
+def test_negative_threshold_is_config_error():
+    # a cut below 0 would keep every variable; 0 itself is the lower bound
+    coefs = np.array([0.2, -0.8, 0.0])
+    assert threshold_support(coefs, 0.0, 2).indices == (0, 1, 2)
+    for t in (-1e-12, -1.0, -np.inf):
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            threshold_support(coefs, t, 2)
+
+
 def test_adaptive_threshold_schedule():
     # max rescaled |coefficient| 0.22 -> thresholds 0.25, 0.20 -> used 0.20
     coefs = np.array([0.22, 0.1, 0.1])

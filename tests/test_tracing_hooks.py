@@ -7,7 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from simpca import SelectionStrategy, SimpcaPipelineConfig, center_scale, run_simpca
+from simpca import (
+    RotationCriterion,
+    SelectionStrategy,
+    SimpcaPipelineConfig,
+    center_scale,
+    rotate,
+    run_simpca,
+)
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -43,3 +50,14 @@ def test_traced_run_sees_both_ls_sparsifiers():
         assert names.count(f"sparse.{method}_component") == 2
     # the tracer puts every function back after its run
     assert tracing.wrapped_functions() == originals
+
+
+def test_traced_rotation_counts_one_per_sweep():
+    # rotation.sweeps counts _sweep calls: one per sweep of all lanes, also
+    # when a call starts the next sweep ahead
+    tracing = _tracing()
+    a = np.random.default_rng(6).standard_normal((12, 5))
+    tracer = tracing.Tracer()
+    with tracer.run("rotate"):
+        rotate(a, RotationCriterion.varimax(), tol=0.0, max_sweeps=4, restarts=2)
+    assert tracer.counts["rotate"]["rotation.sweeps"] == 4
