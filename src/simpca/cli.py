@@ -3,7 +3,10 @@
 Subcommands: ``pca`` (variance spectrum and optional response R^2),
 ``rotate`` (rotated coefficient table, TSV), ``simpca`` (full sparse
 pipeline with the summary report); ``pca`` and ``simpca`` write TSV or
-JSON (``--format``).
+JSON (``--format``). ``rotate`` prints the components the pipeline's first
+step starts from, ordered by variance explained with signs fixed, and
+takes its rotation settings from the same flags as ``simpca``. An nr, or a
+``pca`` nd, above the numerical rank of the data is ``RankExceeded``.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -153,20 +156,36 @@ def _cmd_pca(args):
     _write(report.emit(rep, args.format), args)
 
 
+def _config(args, nd, strategy, **pipeline):
+    """The pipeline config of ``rotate`` and ``simpca``, which read the
+    rotation settings from the same flags."""
+    return sparse.SimpcaPipelineConfig(
+        nd=nd,
+        nr=args.nr,
+        strategy=strategy,
+        criterion=_criterion_from_args(args),
+        coefficient_scaling=_COEF_SCALES[args.coef_scale],
+        kaiser=args.kaiser,
+        restarts=args.restarts,
+        seed=args.seed,
+        **pipeline,
+    )
+
+
 def _cmd_rotate(args):
     x, _, _ = _load(args)
-    model = pca.fit_pca(x, args.nr)
-    coefs = pca.rescale_coefficients(
-        model.v, _COEF_SCALES[args.coef_scale], lam=model.lam
-    )
-    result = rotation.rotate(
-        coefs, _criterion_from_args(args), kaiser=args.kaiser,
-        restarts=args.restarts, seed=args.seed,
-    )
+    # the table is the pipeline's step 1, which selects nothing: a fixed
+    # threshold of 0, which keeps every variable, stands for any strategy
+    keep_all = selection.SelectionStrategy("fixed-threshold", threshold=0.0)
+    config = _config(args, args.nr, keep_all)
+    b, _, _, result = pca._rotated_components(np.linalg.qr(x.values, mode="r"), x.n, config)
     lines = ["\t".join(["variable"] + [f"comp{j + 1}" for j in range(args.nr)])]
-    for name, row in zip(x.column_names, result.b):
+    for name, row in zip(x.column_names, b):
         lines.append("\t".join([name] + [f"{v:.6f}" for v in row]))
-    lines.append(f"# converged\t{result.converged}\tsweeps\t{result.sweeps_used}")
+    if result is None:
+        lines.append("# not rotated: a single component")
+    else:
+        lines.append(f"# converged\t{result.converged}\tsweeps\t{result.sweeps_used}")
     _write(("\n".join(lines) + "\n").encode(), args)
 
 
@@ -180,18 +199,7 @@ def _cmd_simpca(args):
         step=args.step,
         norm_m=np.inf if args.norm == "inf" else int(args.norm),
     )
-    config = sparse.SimpcaPipelineConfig(
-        nd=args.nd,
-        nr=args.nr,
-        strategy=strategy,
-        criterion=_criterion_from_args(args),
-        coefficient_scaling=_COEF_SCALES[args.coef_scale],
-        kaiser=args.kaiser,
-        method=args.method,
-        deflate=args.deflate,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    config = _config(args, args.nd, strategy, method=args.method, deflate=args.deflate)
     result = sparse.run_simpca(x, config)
     rep = report.build_report(x, result, _echo(args), response=resp)
     _write(report.emit(rep, args.format), args)

@@ -25,17 +25,13 @@ def _check_finite(values):
 class DataMatrix:
     """Centered (optionally unit-variance scaled) n x p observation matrix.
 
-    ``column_means`` and ``column_scales`` are in the raw units, so
-    ``values * column_scales + column_means`` reproduces the raw input.
     With ``center_scale(..., scaling='unit-variance')`` columns are divided
     by the sample standard deviation (denominator n - 1), so every column
-    has sum of squares n - 1; otherwise ``column_scales`` is all ones.
+    has sum of squares n - 1.
     """
 
     values: np.ndarray
     column_names: tuple
-    column_means: np.ndarray = None
-    column_scales: np.ndarray = None
 
     @property
     def n(self):
@@ -83,22 +79,14 @@ def center_scale(raw, scaling="none", column_names=None):
         if len(column_names) != p:
             raise ValueError("column_names length does not match p")
 
-    means = raw.mean(axis=0)
-    centered = raw - means
+    centered = raw - raw.mean(axis=0)
     if scaling == "unit-variance":
         sd = centered.std(axis=0, ddof=1)
         zero = np.nonzero(sd <= EPS * max(1.0, float(np.abs(raw).max())))[0]
         if zero.size:
             raise ZeroVarianceColumn(int(zero[0]))
-        scales = sd
-    else:
-        scales = np.ones(p)
-    return DataMatrix(
-        values=centered / scales,
-        column_names=column_names,
-        column_means=means,
-        column_scales=scales,
-    )
+        centered /= sd
+    return DataMatrix(values=centered, column_names=column_names)
 
 
 def svd(x):

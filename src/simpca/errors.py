@@ -123,6 +123,12 @@ class MissingValue(DataError):
         )
 
 
+class NotUtf8(DataError):
+    def __init__(self, byte):
+        self.byte = byte
+        super().__init__(f"input file is not UTF-8 text: cannot decode byte 0x{byte:02x}")
+
+
 class EmptyInput(DataError):
     def __init__(self):
         super().__init__("input file needs a header row and at least one data row")

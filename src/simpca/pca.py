@@ -1,4 +1,6 @@
-"""Principal components, coefficient scalings and variance-explained accounting.
+"""Principal components, coefficient scalings, the rotated components that
+the ``rotate`` command and the pipeline share, and variance-explained
+accounting.
 
 Variance explained by a score vector t is the squared norm of the projection
 of X onto span(t). "Extra" variance explained is ``vexp_of_component(q, t)``,
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import core, rotation
 from .errors import RankExceeded, ZeroColumn, ZeroComponent
 
 
@@ -41,25 +43,64 @@ def fix_signs(v):
     return v * signs, signs
 
 
+def _leading(s, v, d):
+    """The first d of the rank-cut singular pairs (s, V), each column of V
+    with its sign fixed (``fix_signs``); ``RankExceeded`` unless
+    1 <= d <= rank."""
+    if not 1 <= d <= s.size:
+        raise RankExceeded(d, s.size)
+    return s[:d], fix_signs(v[:, :d])[0]
+
+
 def fit_pca(x, d=None):
     """First d principal components of a centered DataMatrix or array;
     every component up to the numerical rank when d is None."""
     values = np.asarray(x, float)
     s, v = core.svd(values)
-    rank = s.size
-    if d is None:
-        d = rank
-    if not 1 <= d <= rank:
-        raise RankExceeded(d, rank)
-    v, signs = fix_signs(v[:, :d])
-    scores = values @ v
+    lam, v = _leading(s, v, s.size if d is None else d)
     return PcaModel(
         v=v,
-        lam=s[:d].copy(),
-        scores=scores,
-        vexp=s[:d] ** 2,
+        lam=lam,
+        scores=values @ v,
+        vexp=lam**2,
         total_variance=float(np.sum(values**2)),
     )
+
+
+def _rotated_components(f, n, config, deflated=False):
+    """The rotated components of the n x p data that the factor f stands
+    for: what ``rotate`` prints and each pipeline step starts from.
+
+    One SVD of f gives its numerical rank, cut as ``core.svd`` cuts the
+    data, at max(n, p) * eps * lambda_1, and its first d principal
+    components (``_leading``): d = nr, so nr above the rank raises
+    ``RankExceeded``, or on a ``deflated`` factor as many as its smaller
+    rank allows, up to nr. Their coefficients are rescaled by
+    ``config.coefficient_scaling`` and, for d >= 2, rotated. Returns (B,
+    the F-space scores F B, the vexp of the d principal components, and the
+    ``RotationResult`` or None for d = 1); the columns of B and of the
+    scores are ordered by descending variance explained, signs fixed.
+    """
+    s, v = core._rank_cut(*core.svd(f), max(n, f.shape[1]))
+    lam, v = _leading(s, v, max(1, min(config.nr, s.size)) if deflated else config.nr)
+    b = rescale_coefficients(v, config.coefficient_scaling, lam=lam)
+    result = None
+    if lam.size >= 2:
+        result = rotation.rotate(
+            b,
+            config.criterion,
+            kaiser=config.kaiser,
+            tol=config.rotation_tol,
+            max_sweeps=config.max_sweeps,
+            restarts=config.restarts,
+            seed=config.seed,
+        )
+        b = result.b
+    scores = f @ b
+    ve = [vexp_of_component(f, scores[:, j]) for j in range(lam.size)]
+    order = np.argsort(-np.asarray(ve), kind="stable")
+    b, signs = fix_signs(b[:, order])
+    return b, scores[:, order] * signs, lam**2, result
 
 
 def vexp_of_component(x, t):

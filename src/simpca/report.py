@@ -21,6 +21,7 @@ from .errors import (
     MissingColumn,
     MissingValue,
     NonNumericCell,
+    NotUtf8,
     RaggedRow,
 )
 
@@ -36,7 +37,8 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
     file without data rows, or with a row whose cell count differs from the
     header's, is rejected too, and so is a delimiter of other than one
     character (``ConfigError``). The file is read as UTF-8, and a leading
-    byte-order mark, as spreadsheet programs write, is skipped.
+    byte-order mark, as spreadsheet programs write, is skipped; a byte
+    that does not decode is ``NotUtf8``.
 
     The header is read with the ``csv`` module and the body with one
     ``np.loadtxt`` call in C. A file loadtxt cannot read whole, or in which
@@ -49,22 +51,25 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
     """
     if delimiter is not None and len(delimiter) != 1:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        sample = fh.read(4096)
-        fh.seek(0)
-        if delimiter is None:
-            delimiter = "\t" if "\t" in sample.partition("\n")[0] else ","
-        header = next((row for row in csv.reader(fh, delimiter=delimiter) if row), [])
-        header = [h.strip() for h in header]
-        named = [c for c in (id_column, response_column) if c is not None]
-        block = ids = None
-        # a missing column, or one named twice, is the scan's to report
-        if header and set(named) <= set(header) and len(set(named)) == len(named):
-            block, ids = _load_body(fh, delimiter, header, id_column)
-        if block is None or block.shape[1] != len(header) or np.isnan(block).any():
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            sample = fh.read(4096)
             fh.seek(0)
-            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row][1:]
-            block, ids = _scan_csv(rows, header, id_column, response_column)
+            if delimiter is None:
+                delimiter = "\t" if "\t" in sample.partition("\n")[0] else ","
+            header = next((row for row in csv.reader(fh, delimiter=delimiter) if row), [])
+            header = [h.strip() for h in header]
+            named = [c for c in (id_column, response_column) if c is not None]
+            block = ids = None
+            # a missing column, or one named twice, is the scan's to report
+            if header and set(named) <= set(header) and len(set(named)) == len(named):
+                block, ids = _load_body(fh, delimiter, header, id_column)
+            if block is None or block.shape[1] != len(header) or np.isnan(block).any():
+                fh.seek(0)
+                rows = [row for row in csv.reader(fh, delimiter=delimiter) if row][1:]
+                block, ids = _scan_csv(rows, header, id_column, response_column)
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(exc.object[exc.start]) from None
     drop = [header.index(c) for c in named]
     feature_cols = [i for i in range(len(header)) if i not in drop]
     resp = None if response_column is None else block[:, header.index(response_column)].copy()

@@ -27,13 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core, pca, rotation, selection
-from .errors import (
-    EmptySupport,
-    InfeasibleOrthogonality,
-    RankExceeded,
-    SingularSubset,
-    ZeroTarget,
-)
+from .errors import EmptySupport, InfeasibleOrthogonality, SingularSubset, ZeroTarget
 
 EPS = np.finfo(float).eps
 
@@ -75,8 +69,12 @@ class SimpcaPipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.nr < 1:
+            raise ValueError("need nr >= 1")
         if self.nd < 1 or self.nd > self.nr:
             raise ValueError("need 1 <= nd <= nr")
+        if self.restarts < 1:
+            raise ValueError("need restarts >= 1")
         if self.method not in ("pspca", "cspca", "uspca", "plain"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -255,52 +253,18 @@ def _sparsify(x, q, support, target, coefcol, method, accepted):
     return _plain_component(x, q, support, coefcol, target)
 
 
-def _rotated_targets(f, n, need, config):
-    """PCA + scaling + rotation of the current (possibly deflated) factor.
-
-    One SVD of f gives both its numerical rank, which must be at least
-    ``need`` (else ``RankExceeded``), and its first d = min(nr, rank)
-    principal components. The rank is cut as ``core.svd`` cuts the n x p
-    data f stands for, at max(n, p) * eps * lambda_1. Returns (coefficient
-    matrix, F-space score matrix, vexp of the d principal components); the
-    first two have their columns ordered by descending extra variance
-    explained, signs fixed.
-    """
-    s, v = core._rank_cut(*core.svd(f), max(n, f.shape[1]))
-    if s.size < need:
-        raise RankExceeded(need, s.size)
-    d = min(config.nr, s.size)
-    v, _ = pca.fix_signs(v[:, :d])
-    coefs = pca.rescale_coefficients(v, config.coefficient_scaling, lam=s[:d])
-    if d >= 2:
-        result = rotation.rotate(
-            coefs,
-            config.criterion,
-            kaiser=config.kaiser,
-            tol=config.rotation_tol,
-            max_sweeps=config.max_sweeps,
-            restarts=config.restarts,
-            seed=config.seed,
-        )
-        b = result.b
-    else:
-        b = coefs
-    scores = f @ b
-    ve = [pca.vexp_of_component(f, scores[:, j]) for j in range(d)]
-    order = np.argsort(-np.asarray(ve), kind="stable")
-    b, signs = pca.fix_signs(b[:, order])
-    return b, scores[:, order] * signs, s[:d] ** 2
-
-
 def run_simpca(x, config):
     """Run the full pipeline: PCA, rotation, per-component selection and
     sparsification.
 
-    Step j measures extra variance against the orthocomplement of the j
+    Step 1 takes the nr rotated components of X that the ``rotate``
+    command prints (``pca._rotated_components``), and raises
+    ``RankExceeded`` when nr exceeds the numerical rank of X. Step j
+    measures extra variance against the orthocomplement of the j
     components accepted before it. With ``config.deflate`` the rotated
-    components are recomputed from that orthocomplement and step j takes
-    the leading one; without it, step j takes the j-th rotated component
-    of X. Raises ``RankExceeded`` when nd exceeds the numerical rank of X.
+    components are recomputed from that orthocomplement, as many as its
+    rank allows up to nr, and step j takes the leading one; without it,
+    step j takes the j-th rotated component of X.
 
     Every step runs on the triangular factor F of X = Q_x F (see the module
     docstring); each component's ``scores`` are then formed once in
@@ -309,7 +273,7 @@ def run_simpca(x, config):
     values = np.asarray(x, float)
     n = values.shape[0]
     f = q = np.linalg.qr(values, mode="r")
-    b, targets, pca_vexp = _rotated_targets(f, n, config.nd, config)
+    b, targets, pca_vexp, _ = pca._rotated_components(f, n, config)
     accepted = []
     f_scores = []
     rotated_vexp = []
@@ -321,7 +285,7 @@ def run_simpca(x, config):
             # oblique
             q = pca.deflate(f, np.column_stack(f_scores))
             if config.deflate:
-                b, targets, _ = _rotated_targets(q, n, 1, config)
+                b, targets, _, _ = pca._rotated_components(q, n, config, deflated=True)
         col = 0 if config.deflate else j
         target = targets[:, col]
         support = selection.select_support(f, target, b[:, col], config.strategy)

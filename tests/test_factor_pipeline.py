@@ -69,7 +69,7 @@ def _nspace_rotated_targets(q, need, config):
 def nspace_run_simpca(x, config):
     values = np.asarray(x, float)
     q = values
-    b, targets, pca_vexp = _nspace_rotated_targets(values, config.nd, config)
+    b, targets, pca_vexp = _nspace_rotated_targets(values, config.nr, config)
     accepted = []
     rotated_vexp = []
     for j in range(config.nd):

@@ -24,6 +24,7 @@ from simpca.errors import (
     MissingColumn,
     MissingValue,
     NonNumericCell,
+    NotUtf8,
     RaggedRow,
 )
 from simpca.report import AnalysisReport, ComponentSummary, pca_report, report_from_json
@@ -458,6 +459,100 @@ def test_cli_reads_a_byte_order_mark(tmp_path, capsys):
                  "none", "--nd", "1"]) == 0
     names, _, ids, _ = ingest_csv(path, id_column="country")
     assert names == ["x", "y"] and ids == ["A", "B", "C"]
+
+
+def test_cli_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    # one undecodable byte in the header, and one far enough into the body
+    # that the header's read does not reach it
+    body = "".join(f"{i},{i % 7}\n" for i in range(3000))
+    for name, text in (("head.csv", "Poblaci\xf3n,b\n1,2\n3,5\n"),
+                       ("body.csv", f"a,b\n{body}7,\xf3\n")):
+        path = tmp_path / name
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(NotUtf8) as err:
+            ingest_csv(path)
+        assert err.value.byte == 0xF3
+        assert main(["pca", "--input", str(path), "--scale", "none", "--nd", "1"]) == 3
+        assert "data error: input file is not UTF-8 text" in capsys.readouterr().err
+
+
+def _same_column(printed, coefficients):
+    """Whether a printed column, normalized, is the unit-L2 coefficient
+    vector: each printed cell is within 5e-7 of the value, and normalizing
+    moves the column by at most about twice that in norm."""
+    norm = np.linalg.norm(printed)
+    tol = 3 * 5e-7 * np.sqrt(printed.size) / norm
+    return np.abs(printed / norm - coefficients).max() <= tol
+
+
+def _rotate_table(argv, tmp_path):
+    """The coefficient columns and the trailer of one ``rotate`` run."""
+    out = tmp_path / "rot.tsv"
+    assert main(["rotate", "--input", EUROJOBS, "--id-column", "country", *argv,
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    table = np.array([[float(v) for v in line.split("\t")[1:]] for line in lines[1:-1]])
+    return table, lines[-1]
+
+
+@pytest.mark.parametrize("scale", ["none", "unit-variance"])
+def test_cli_rotate_prints_the_pipeline_components(scale, tmp_path):
+    # with a fixed threshold of 0 every plain component keeps all of its
+    # rotated component's coefficients, rescaled to unit L2; without
+    # deflation component j is the pipeline's j-th rotated component
+    names, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
+    x = center_scale(values, scale, names)
+    criteria = [(["--criterion", "varimax"], RotationCriterion.varimax()),
+                (["--criterion", "quartimax"], RotationCriterion.quartimax()),
+                (["--criterion", "cf", "--kappa", "0.5"],
+                 RotationCriterion.crawford_ferguson(0.5))]
+    for nr in range(2, 10):
+        for flags, criterion in criteria:
+            for kaiser in (False, True):
+                argv = ["--scale", scale, "--nr", str(nr), *flags]
+                table, _ = _rotate_table(argv + ["--kaiser"] * kaiser, tmp_path)
+                config = SimpcaPipelineConfig(
+                    nd=nr, nr=nr, criterion=criterion, kaiser=kaiser,
+                    strategy=SelectionStrategy(kind="fixed-threshold", threshold=0.0),
+                    method="plain", deflate=False,
+                )
+                for col, comp in zip(table.T, run_simpca(x, config).components,
+                                     strict=True):
+                    assert comp.support.indices == tuple(range(x.p))
+                    assert _same_column(col, comp.coefficients), argv
+
+
+def test_cli_one_nr_rule(tmp_path, capsys):
+    # eurojobs has numerical rank 9: every command takes up to 9 components
+    # and fails on more with RankExceeded, exit 2
+    base = ["--input", EUROJOBS, "--id-column", "country", "--scale", "none"]
+    for argv, rank_ok, too_many in (
+        (["pca", *base], ["--nd", "9"], ["--nd", "10"]),
+        (["rotate", *base], ["--nr", "9"], ["--nr", "30"]),
+        (["simpca", *base, "--nd", "1"], ["--nr", "9"], ["--nr", "20"]),
+    ):
+        assert main(argv + rank_ok) == 0
+        capsys.readouterr()
+        assert main(argv + too_many) == 2
+        assert "numerical rank is 9" in capsys.readouterr().err
+    # nr = 1 rotates nothing: rotate prints the one scaled, signed principal
+    # component the pipeline starts from
+    table, trailer = _rotate_table(["--scale", "none", "--nr", "1"], tmp_path)
+    assert table.shape == (9, 1) and trailer == "# not rotated: a single component"
+    config = SimpcaPipelineConfig(
+        nd=1, nr=1, strategy=SelectionStrategy(kind="fixed-threshold", threshold=0.0),
+        method="plain")
+    names, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
+    (comp,) = run_simpca(center_scale(values, "none", names), config).components
+    assert _same_column(table[:, 0], comp.coefficients)
+    # an nr below 1 and a rotation without a start are config errors in
+    # both commands that rotate, whatever the nr
+    for argv in (["rotate", *base], ["simpca", *base, "--nd", "1"]):
+        for flags, message in ((["--nr", "0"], "need nr >= 1"),
+                               (["--nr", "1", "--restarts", "0"], "need restarts >= 1"),
+                               (["--nr", "3", "--restarts", "0"], "need restarts >= 1")):
+            assert main(argv + flags) == 2
+            assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_cli_rotate_has_no_format_flag(capsys):

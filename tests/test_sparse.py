@@ -358,13 +358,15 @@ def test_pipeline_no_deflate_uses_single_rotation():
 
 def test_pipeline_nd_above_rank_raises():
     # 4 centered rows have rank 3: a fourth component would be fitted to
-    # round-off (deflate) or would not exist (no deflate)
+    # round-off (deflate) or would not exist (no deflate), and step 1
+    # rotates nr components, so nr = 4 fails even at nd = 3
     x = center_scale(np.random.default_rng(15).standard_normal((4, 5)))
     for deflate in (False, True):
-        with pytest.raises(RankExceeded) as err:
-            run_simpca(x, _pipeline_config(nd=4, nr=4, deflate=deflate))
-        assert (err.value.d, err.value.rank) == (4, 3)
-        res = run_simpca(x, _pipeline_config(nd=3, nr=4, deflate=deflate))
+        for nd in (3, 4):
+            with pytest.raises(RankExceeded) as err:
+                run_simpca(x, _pipeline_config(nd=nd, nr=4, deflate=deflate))
+            assert (err.value.d, err.value.rank) == (4, 3)
+        res = run_simpca(x, _pipeline_config(nd=3, nr=3, deflate=deflate))
         assert len(res.components) == 3
 
 
@@ -394,6 +396,10 @@ def test_pipeline_config_validation():
         _pipeline_config(nd=4, nr=3)
     with pytest.raises(ValueError):
         _pipeline_config(method="lasso")
+    # a rotation needs at least one component and one start, at any nr
+    for kw in (dict(nd=1, nr=0), dict(nd=1, nr=1, restarts=0), dict(restarts=0)):
+        with pytest.raises(ValueError):
+            _pipeline_config(**kw)
 
 
 def test_pipeline_config_defaults_to_varimax():
