@@ -8,8 +8,10 @@ step starts from, ordered by variance explained with signs fixed, and
 takes its rotation settings from the same flags as ``simpca``. An nr, or a
 ``pca`` nd, above the numerical rank of the data is ``RankExceeded``.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success, 2 configuration error (``ConfigError``), 3 data
+error (``DataError``, ``OSError``), 4 numerical failure (``NumericalError``,
+numpy's ``LinAlgError``). A flag whose check needs no data is checked
+before the input is read.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import sys
 import numpy as np
 
 from . import core, pca, report, rotation, selection, sparse
-from .errors import ConfigError, ConstantData, DataError, NumericalError, SimpcaError
+from .errors import ConfigError, ConstantData, DataError, NumericalError
 
 
 def _common_data_args(p):
@@ -148,6 +150,8 @@ def _write(payload, args):
 
 
 def _cmd_pca(args):
+    if args.nd < 0:
+        raise ConfigError("need nd >= 0")
     x, _, resp = _load(args)
     # --nd 0 reports every component up to the rank, read off the one SVD;
     # the echo holds the count reported, as --nd <rank> would
@@ -158,7 +162,9 @@ def _cmd_pca(args):
 
 def _config(args, nd, strategy, **pipeline):
     """The pipeline config of ``rotate`` and ``simpca``, which read the
-    rotation settings from the same flags."""
+    rotation settings from the same flags; built before the data is read."""
+    if args.nr < 1:  # before equamax(nr) reports it as a bad c
+        raise ConfigError("need nr >= 1")
     return sparse.SimpcaPipelineConfig(
         nd=nd,
         nr=args.nr,
@@ -173,11 +179,11 @@ def _config(args, nd, strategy, **pipeline):
 
 
 def _cmd_rotate(args):
-    x, _, _ = _load(args)
     # the table is the pipeline's step 1, which selects nothing: a fixed
     # threshold of 0, which keeps every variable, stands for any strategy
     keep_all = selection.SelectionStrategy("fixed-threshold", threshold=0.0)
     config = _config(args, args.nr, keep_all)
+    x, _, _ = _load(args)
     b, _, _, result = pca._rotated_components(np.linalg.qr(x.values, mode="r"), x.n, config)
     lines = ["\t".join(["variable"] + [f"comp{j + 1}" for j in range(args.nr)])]
     for name, row in zip(x.column_names, b):
@@ -190,7 +196,6 @@ def _cmd_rotate(args):
 
 
 def _cmd_simpca(args):
-    x, _, resp = _load(args)
     strategy = selection.SelectionStrategy(
         kind=_SELECT_KINDS[args.select],
         alpha=args.alpha,
@@ -200,6 +205,7 @@ def _cmd_simpca(args):
         norm_m=np.inf if args.norm == "inf" else int(args.norm),
     )
     config = _config(args, args.nd, strategy, method=args.method, deflate=args.deflate)
+    x, _, resp = _load(args)
     result = sparse.run_simpca(x, config)
     rep = report.build_report(x, result, _echo(args), response=resp)
     _write(report.emit(rep, args.format), args)
@@ -211,13 +217,14 @@ def main(argv=None):
     handlers = {"pca": _cmd_pca, "rotate": _cmd_rotate, "simpca": _cmd_simpca}
     try:
         handlers[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, SimpcaError, np.linalg.LinAlgError) as exc:
+    # an SVD that does not converge is numpy's LinAlgError
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     return 0

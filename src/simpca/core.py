@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, TooFewObservations, ZeroVarianceColumn
+from .errors import ConfigError, NonFiniteInput, TooFewObservations, ZeroVarianceColumn
 
 EPS = np.finfo(float).eps
 
@@ -65,19 +65,19 @@ def center_scale(raw, scaling="none", column_names=None):
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
+        raise ConfigError("expected a 2-d matrix")
     n, p = raw.shape
     if n < 2:
         raise TooFewObservations(n)
     _check_finite(raw)
     if scaling not in ("none", "unit-variance"):
-        raise ValueError(f"unknown scaling mode {scaling!r}")
+        raise ConfigError(f"unknown scaling mode {scaling!r}")
     if column_names is None:
         column_names = tuple(f"x{i + 1}" for i in range(p))
     else:
         column_names = tuple(column_names)
         if len(column_names) != p:
-            raise ValueError("column_names length does not match p")
+            raise ConfigError("column_names length does not match p")
 
     centered = raw - raw.mean(axis=0)
     if scaling == "unit-variance":

@@ -9,8 +9,9 @@ class DataError(SimpcaError):
     """Problems with the input data (shape, finiteness, parsing)."""
 
 
-class ConfigError(SimpcaError):
-    """Invalid configuration or parameter values."""
+class ConfigError(SimpcaError, ValueError):
+    """Invalid configuration or parameter values. Also a ``ValueError``, as
+    Python's own argument errors are."""
 
 
 class NumericalError(SimpcaError):

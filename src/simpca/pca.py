@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, rotation
-from .errors import RankExceeded, ZeroColumn, ZeroComponent
+from .errors import ConfigError, RankExceeded, ZeroColumn, ZeroComponent
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,12 @@ def rescale_coefficients(v, scaling="unit-l2", lam=None):
         raise ZeroColumn(int(zero[0]))
     if scaling == "component-unit-norm":
         if lam is None:
-            raise ValueError("component-unit-norm scaling needs the singular values")
+            raise ConfigError("component-unit-norm scaling needs the singular values")
         return v / np.asarray(lam, float)
     if scaling == "inverse-eigenvalue":
         if lam is None:
-            raise ValueError("inverse-eigenvalue scaling needs the singular values")
+            raise ConfigError("inverse-eigenvalue scaling needs the singular values")
         return v / np.asarray(lam, float) ** 2
     if scaling == "unit-l2":
         return v / np.linalg.norm(v, axis=0)
-    raise ValueError(f"unknown coefficient scaling {scaling!r}")
+    raise ConfigError(f"unknown coefficient scaling {scaling!r}")

@@ -254,7 +254,7 @@ def emit(report, fmt="tsv"):
         # config echo of other types is the caller's to convert
         return (json.dumps(asdict(report), indent=2) + "\n").encode()
     if fmt != "tsv":
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ConfigError(f"unknown format {fmt!r}")
 
     out = io.StringIO()
 

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EPS, _check_finite
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,12 @@ class RotationCriterion:
     def __post_init__(self):
         if self.family == "crawford-ferguson":
             if not 0.0 <= self.param <= 1.0:
-                raise ValueError("kappa must be in [0, 1]")
+                raise ConfigError("kappa must be in [0, 1]")
         elif self.family == "orthomax":
             if not 0.0 <= self.param < math.inf:
-                raise ValueError("c must be finite and >= 0")
+                raise ConfigError("c must be finite and >= 0")
         else:
-            raise ValueError(f"unknown criterion family {self.family!r}")
+            raise ConfigError(f"unknown criterion family {self.family!r}")
 
     def kappa(self, p):
         """Equivalent CF kappa for a p-row coefficient matrix."""
@@ -286,11 +287,11 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     p, d = a.shape
     _check_finite(a)
     if d < 2:
-        raise ValueError("need at least 2 columns to rotate")
+        raise ConfigError("need at least 2 columns to rotate")
     if p < d:
-        raise ValueError("need p >= d")
+        raise ConfigError("need p >= d")
     if restarts < 1:
-        raise ValueError("need restarts >= 1")
+        raise ConfigError("need restarts >= 1")
     if kaiser:
         row_norms = np.linalg.norm(a, axis=1)
         row_norms[row_norms <= p * EPS * row_norms.max()] = 1.0

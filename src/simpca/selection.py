@@ -96,7 +96,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _LS_CUT, _add_r2, _drop_r2, _ls_state, _pinv_diag, r2_add_drop, r_squared
-from .errors import EmptySupport, ExhaustedSchedule
+from .errors import ConfigError, EmptySupport, ExhaustedSchedule
 
 _GAIN_EPS = 1e-15
 # Backward selection's downdated state is that of the normal equations, so
@@ -160,7 +160,7 @@ class SelectionStrategy:
         if self.kind not in ("fixed-threshold", "adaptive-threshold",
                              "iterative-reverse-threshold", "forward", "backward",
                              "stepwise"):
-            raise ValueError(f"unknown selection strategy {self.kind!r}")
+            raise ConfigError(f"unknown selection strategy {self.kind!r}")
 
 
 def rescale_to_unit_norm(coefficients, norm_m=2):
@@ -171,7 +171,7 @@ def rescale_to_unit_norm(coefficients, norm_m=2):
     elif norm_m in (1, 2):
         norm = np.sum(np.abs(a) ** norm_m) ** (1.0 / norm_m)
     else:
-        raise ValueError(f"unsupported norm {norm_m!r}")
+        raise ConfigError(f"unsupported norm {norm_m!r}")
     if norm == 0.0:
         raise EmptySupport()
     return a / norm
@@ -184,7 +184,7 @@ def threshold_support(coefficients, t, norm_m=2):
     never keep a variable, and one below 0 would keep every variable under
     a cut that means nothing: either (or NaN) is a configuration error."""
     if not 0 <= t <= 1:
-        raise ValueError("threshold must be in [0, 1]")
+        raise ConfigError("threshold must be in [0, 1]")
     a = rescale_to_unit_norm(coefficients, norm_m)
     indices = tuple(int(i) for i in np.nonzero(np.abs(a) >= t)[0])
     if not indices:
@@ -209,7 +209,7 @@ def adaptive_threshold_support(coefficients, t0, step, norm_m=2):
     threshold in (0, top] is ``ExhaustedSchedule``."""
     t0, step = float(t0), float(step)
     if not (0 < t0 < math.inf and 0 < step < math.inf):
-        raise ValueError("t0 and step must be positive and finite")
+        raise ConfigError("t0 and step must be positive and finite")
     a = rescale_to_unit_norm(coefficients, norm_m)
     top = min(1.0, float(np.max(np.abs(a))))
     k = max(0.0, float(np.ceil((t0 - top) / step)))
@@ -261,7 +261,7 @@ def _first_best(items, r2s):
 
 def _check_alpha(alpha):
     if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
+        raise ConfigError("alpha must be in (0, 1]")
 
 
 def _cap(max_cardinality, p):
@@ -271,9 +271,9 @@ def _cap(max_cardinality, p):
     try:
         cap = operator.index(max_cardinality)
     except TypeError:
-        raise ValueError(f"max_cardinality {max_cardinality} is not an integer") from None
+        raise ConfigError(f"max_cardinality {max_cardinality} is not an integer") from None
     if cap < 1:
-        raise ValueError(f"max_cardinality {cap} is not at least 1")
+        raise ConfigError(f"max_cardinality {cap} is not at least 1")
     return min(cap, p)
 
 
@@ -576,7 +576,7 @@ def stepwise_select(x, target, alpha, entry=1e-6, exit=1e-6, max_cardinality=Non
     """
     _check_alpha(alpha)
     if entry < exit:
-        raise ValueError("entry must be >= exit")
+        raise ConfigError("entry must be >= exit")
     values = np.asarray(x, float)
     cap = _cap(max_cardinality, values.shape[1])
     fit = _Fit(values, target)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core, pca, rotation, selection
-from .errors import EmptySupport, InfeasibleOrthogonality, SingularSubset, ZeroTarget
+from .errors import ConfigError, EmptySupport, InfeasibleOrthogonality, SingularSubset, ZeroTarget
 
 EPS = np.finfo(float).eps
 
@@ -70,13 +70,16 @@ class SimpcaPipelineConfig:
 
     def __post_init__(self):
         if self.nr < 1:
-            raise ValueError("need nr >= 1")
+            raise ConfigError("need nr >= 1")
         if self.nd < 1 or self.nd > self.nr:
-            raise ValueError("need 1 <= nd <= nr")
+            raise ConfigError("need 1 <= nd <= nr")
         if self.restarts < 1:
-            raise ValueError("need restarts >= 1")
+            raise ConfigError("need restarts >= 1")
+        # checked here, not by the generator after the QR and SVD
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError("need seed >= 0")
         if self.method not in ("pspca", "cspca", "uspca", "plain"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ConfigError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -234,7 +237,7 @@ def component_correlations(components):
     """Pearson correlation matrix of the components' score vectors."""
     scores = _scores(components)
     if len(scores) < 2:
-        raise ValueError("need at least 2 components")
+        raise ConfigError("need at least 2 components")
     mat = np.column_stack(scores)
     mat = mat - mat.mean(axis=0)
     norms = np.linalg.norm(mat, axis=0)

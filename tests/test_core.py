@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from simpca import center_scale, solve_ls, svd, vif
-from simpca.core import DataMatrix, r_squared
+from simpca import center_scale
+from simpca.core import DataMatrix, r_squared, solve_ls, svd, vif
 from simpca.errors import NonFiniteInput, TooFewObservations, ZeroVarianceColumn
 
 from conftest import random_data

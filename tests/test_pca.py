@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from simpca import (
-    center_scale,
-    deflate,
-    fit_pca,
-    rescale_coefficients,
-    vexp_of_component,
-)
+from simpca import center_scale, fit_pca
 from simpca.core import DataMatrix
 from simpca.errors import RankExceeded, ZeroColumn, ZeroComponent
-from simpca.pca import fix_signs
+from simpca.pca import deflate, fix_signs, rescale_coefficients, vexp_of_component
 from simpca.selection import rescale_to_unit_norm
 
 from conftest import random_data

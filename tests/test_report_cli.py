@@ -11,9 +11,7 @@ from simpca import (
     RotationCriterion,
     SelectionStrategy,
     SimpcaPipelineConfig,
-    build_report,
     center_scale,
-    emit,
     ingest_csv,
     run_simpca,
 )
@@ -27,7 +25,14 @@ from simpca.errors import (
     NotUtf8,
     RaggedRow,
 )
-from simpca.report import AnalysisReport, ComponentSummary, pca_report, report_from_json
+from simpca.report import (
+    AnalysisReport,
+    ComponentSummary,
+    build_report,
+    emit,
+    pca_report,
+    report_from_json,
+)
 
 from conftest import EUROJOBS, time_limit
 
@@ -546,13 +551,22 @@ def test_cli_one_nr_rule(tmp_path, capsys):
     (comp,) = run_simpca(center_scale(values, "none", names), config).components
     assert _same_column(table[:, 0], comp.coefficients)
     # an nr below 1 and a rotation without a start are config errors in
-    # both commands that rotate, whatever the nr
+    # both commands that rotate, whatever the nr and the criterion
     for argv in (["rotate", *base], ["simpca", *base, "--nd", "1"]):
         for flags, message in ((["--nr", "0"], "need nr >= 1"),
+                               (["--nr", "-1", "--criterion", "equamax"], "need nr >= 1"),
                                (["--nr", "1", "--restarts", "0"], "need restarts >= 1"),
-                               (["--nr", "3", "--restarts", "0"], "need restarts >= 1")):
+                               (["--nr", "3", "--restarts", "0"], "need restarts >= 1"),
+                               (["--nr", "3", "--seed", "-1"], "need seed >= 0")):
             assert main(argv + flags) == 2
             assert f"config error: {message}" in capsys.readouterr().err
+    # a count below its minimum is named as such, before the file is read
+    missing = ["--input", str(tmp_path / "missing.csv"), "--scale", "none"]
+    for argv, message in ((["pca", *base, "--nd", "-1"], "need nd >= 0"),
+                          (["pca", *missing, "--nd", "-1"], "need nd >= 0"),
+                          (["rotate", *missing, "--nr", "0"], "need nr >= 1")):
+        assert main(argv) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_cli_rotate_has_no_format_flag(capsys):

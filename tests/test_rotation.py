@@ -11,13 +11,13 @@ from simpca import (
     SimpcaPipelineConfig,
     center_scale,
     cf_value,
-    deflate,
     fit_pca,
     rotate,
     run_simpca,
 )
 from simpca import rotation
 from simpca.errors import NonFiniteInput
+from simpca.pca import deflate
 from simpca.report import ingest_csv
 from simpca.rotation import _batches, _levels, _plane_angle, _random_orthogonal, _sweep
 

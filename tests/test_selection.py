@@ -11,20 +11,22 @@ from simpca import (
     RotationCriterion,
     SelectionStrategy,
     SimpcaPipelineConfig,
-    adaptive_threshold_support,
-    backward_select,
     center_scale,
     forward_select,
-    iterative_reverse_threshold,
     run_simpca,
-    stepwise_select,
-    svd,
-    threshold_support,
 )
 from simpca import selection
-from simpca.core import r2_add_drop, r_squared, vif
+from simpca.core import r2_add_drop, r_squared, svd, vif
 from simpca.errors import EmptySupport, ExhaustedSchedule
-from simpca.selection import rescale_to_unit_norm, select_support
+from simpca.selection import (
+    adaptive_threshold_support,
+    backward_select,
+    iterative_reverse_threshold,
+    rescale_to_unit_norm,
+    select_support,
+    stepwise_select,
+    threshold_support,
+)
 
 from conftest import random_data, time_limit
 

@@ -21,7 +21,7 @@ from simpca import (
     uspca_component,
 )
 from simpca.core import _ls_svd, r_squared
-from simpca.errors import EmptySupport, RankExceeded, SingularSubset, ZeroTarget
+from simpca.errors import ConfigError, EmptySupport, RankExceeded, SingularSubset, ZeroTarget
 from simpca.pca import deflate, vexp_of_component
 from simpca.selection import SupportSet
 from simpca.report import ingest_csv
@@ -400,6 +400,12 @@ def test_pipeline_config_validation():
     for kw in (dict(nd=1, nr=0), dict(nd=1, nr=1, restarts=0), dict(restarts=0)):
         with pytest.raises(ValueError):
             _pipeline_config(**kw)
+    # the generator's seed is checked when the config is built, not after
+    # the QR and SVD; every config error is a ConfigError
+    for seed in (-1, 1.5, None):
+        with pytest.raises(ConfigError, match="need seed >= 0"):
+            _pipeline_config(seed=seed)
+    assert _pipeline_config(seed=np.int64(3)).seed == 3
 
 
 def test_pipeline_config_defaults_to_varimax():
