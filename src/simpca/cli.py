@@ -150,8 +150,7 @@ def _write(payload, args):
 
 
 def _cmd_pca(args):
-    if args.nd < 0:
-        raise ConfigError("need nd >= 0")
+    core._count(args.nd, "nd", least=0)
     x, _, resp = _load(args)
     # --nd 0 reports every component up to the rank, read off the one SVD;
     # the echo holds the count reported, as --nd <rank> would
@@ -163,8 +162,7 @@ def _cmd_pca(args):
 def _config(args, nd, strategy, **pipeline):
     """The pipeline config of ``rotate`` and ``simpca``, which read the
     rotation settings from the same flags; built before the data is read."""
-    if args.nr < 1:  # before equamax(nr) reports it as a bad c
-        raise ConfigError("need nr >= 1")
+    core._count(args.nr, "nr")  # before equamax(nr) reports it as a bad c
     return sparse.SimpcaPipelineConfig(
         nd=nd,
         nr=args.nr,

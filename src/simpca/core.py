@@ -6,6 +6,7 @@ null space (``_ls_svd``), add-one/drop-one R^2 and variance inflation.
 Everything here is a pure function of immutable inputs.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,19 @@ import numpy as np
 from .errors import ConfigError, NonFiniteInput, TooFewObservations, ZeroVarianceColumn
 
 EPS = np.finfo(float).eps
+
+
+def _count(value, name, least=1):
+    """value as an int; ``ConfigError`` unless it is an integer (a float
+    such as 3.0 is not) of at least ``least``. Every count check of the
+    package is this one."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} {value} is not an integer") from None
+    if value < least:
+        raise ConfigError(f"{name} {value} is not at least {least}")
+    return value
 
 
 def _check_finite(values):
@@ -89,36 +103,23 @@ def center_scale(raw, scaling="none", column_names=None):
     return DataMatrix(values=centered, column_names=column_names)
 
 
-def svd(x):
-    """Singular values and right singular vectors of a centered DataMatrix
-    or array, rank-truncated.
+def svd(x, n=None):
+    """Singular values and right singular vectors of a matrix, rank-truncated.
 
     Returns (lambda, V) with non-increasing singular values, keeping only
-    the r = numerical-rank pairs (cutoff max(n, p) * eps * lambda_1 of the
-    input). No caller reads U, so none is formed for tall input: from
-    n >= 11p/6 on, the SVD is that of R in X = QR (Chan's R-SVD). That is
-    the first step LAPACK's gesdd takes at the same crossover, so lambda
-    and V are bit for bit those of ``np.linalg.svd(x)``; below it, and for
-    n <= p, the SVD is taken directly, as gesdd would, and its U discarded.
+    the r = numerical-rank pairs: those above max(n, p) * eps * lambda_1,
+    with n the row count of the data x stands for, x's own by default. The
+    pipeline passes the triangular factor F of X = QF (Chan's R-SVD) and
+    X's n: F has X's singular values and right vectors, and X's rank. No
+    caller reads U.
     """
     values = np.asarray(x, float)
-    n, p = values.shape
-    tall = n > p and n >= p * 11 // 6
-    _, s, vt = np.linalg.svd(
-        np.linalg.qr(values, mode="r") if tall else values, full_matrices=False
-    )
-    return _rank_cut(s, vt.T, max(n, p))
-
-
-def _rank_cut(s, v, m):
-    """The pairs (s, V) above the rank cutoff m * eps * s_1, where m is
-    max(n, p) of the n x p data; a zero or empty s has rank 0. ``svd`` cuts
-    with its input's shape; a caller holding only a triangular factor of
-    the data cuts again with the data's n."""
+    m, p = values.shape
+    _, s, vt = np.linalg.svd(values, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return s[:0], v[:, :0]
-    r = int(np.sum(s > m * EPS * s[0]))
-    return s[:r], v[:, :r]
+        return s[:0], vt[:0].T
+    r = int(np.sum(s > max(m if n is None else n, p) * EPS * s[0]))
+    return s[:r], vt[:r].T
 
 
 # The least-squares cut: a fit on k columns keeps the singular values above

@@ -45,19 +45,24 @@ def fix_signs(v):
 
 def _leading(s, v, d):
     """The first d of the rank-cut singular pairs (s, V), each column of V
-    with its sign fixed (``fix_signs``); ``RankExceeded`` unless
-    1 <= d <= rank."""
-    if not 1 <= d <= s.size:
+    with its sign fixed (``fix_signs``); ``ConfigError`` unless d is an
+    integer >= 1, ``RankExceeded`` for d above the rank."""
+    if core._count(d, "d") > s.size:
         raise RankExceeded(d, s.size)
     return s[:d], fix_signs(v[:, :d])[0]
 
 
 def fit_pca(x, d=None):
     """First d principal components of a centered DataMatrix or array;
-    every component up to the numerical rank when d is None."""
+    every component up to the numerical rank when d is None (data of rank
+    0 raises ``RankExceeded``).
+
+    The spectrum is that of the triangular factor F of X = QF, rank-cut
+    with X's n (``core.svd``); only the scores X V are formed in n-space.
+    """
     values = np.asarray(x, float)
-    s, v = core.svd(values)
-    lam, v = _leading(s, v, s.size if d is None else d)
+    s, v = core.svd(np.linalg.qr(values, mode="r"), values.shape[0])
+    lam, v = _leading(s, v, (s.size or 1) if d is None else d)
     return PcaModel(
         v=v,
         lam=lam,
@@ -71,9 +76,9 @@ def _rotated_components(f, n, config, deflated=False):
     """The rotated components of the n x p data that the factor f stands
     for: what ``rotate`` prints and each pipeline step starts from.
 
-    One SVD of f gives its numerical rank, cut as ``core.svd`` cuts the
-    data, at max(n, p) * eps * lambda_1, and its first d principal
-    components (``_leading``): d = nr, so nr above the rank raises
+    One ``core.svd(f, n)`` gives the data's numerical rank, cut at
+    max(n, p) * eps * lambda_1, and its first d principal components
+    (``_leading``): d = nr, so nr above the rank raises
     ``RankExceeded``, or on a ``deflated`` factor as many as its smaller
     rank allows, up to nr. Their coefficients are rescaled by
     ``config.coefficient_scaling`` and, for d >= 2, rotated. Returns (B,
@@ -81,7 +86,7 @@ def _rotated_components(f, n, config, deflated=False):
     ``RotationResult`` or None for d = 1); the columns of B and of the
     scores are ordered by descending variance explained, signs fixed.
     """
-    s, v = core._rank_cut(*core.svd(f), max(n, f.shape[1]))
+    s, v = core.svd(f, n)
     lam, v = _leading(s, v, max(1, min(config.nr, s.size)) if deflated else config.nr)
     b = rescale_coefficients(v, config.coefficient_scaling, lam=lam)
     result = None
@@ -136,29 +141,28 @@ def deflate(x, t):
     return values - u @ (u.T @ values)
 
 
+SCALINGS = ("unit-l2", "component-unit-norm", "inverse-eigenvalue")
+
+
 def rescale_coefficients(v, scaling="unit-l2", lam=None):
     """Rescale each coefficient column to the requested norm.
 
-    scaling : 'unit-l2', 'component-unit-norm' (divide column j by lambda_j,
-        producing components with equal L2 norm) or 'inverse-eigenvalue'
-        (divide column j by lambda_j**2, i.e. by the eigenvalue of X'X);
-        the CLI's ``--coef-scale`` l2, normalized and eigen-normalized.
-        Directions are never changed: the output column is a positive
-        multiple of the input column. Unit L_1 or L_inf norms, which
-        thresholds use, are ``selection.rescale_to_unit_norm``.
+    scaling : one of SCALINGS: 'unit-l2', 'component-unit-norm' (divide
+        column j by lambda_j, producing components with equal L2 norm) or
+        'inverse-eigenvalue' (divide column j by lambda_j**2, i.e. by the
+        eigenvalue of X'X); the CLI's ``--coef-scale`` l2, normalized and
+        eigen-normalized. Directions are never changed: the output column
+        is a positive multiple of the input column. Unit L_1 or L_inf
+        norms, which thresholds use, are ``selection.rescale_to_unit_norm``.
     """
+    if scaling not in SCALINGS:
+        raise ConfigError(f"unknown coefficient scaling {scaling!r}")
     v = np.asarray(v, float)
     zero = np.nonzero(np.linalg.norm(v, axis=0) == 0.0)[0]
     if zero.size:
         raise ZeroColumn(int(zero[0]))
-    if scaling == "component-unit-norm":
-        if lam is None:
-            raise ConfigError("component-unit-norm scaling needs the singular values")
-        return v / np.asarray(lam, float)
-    if scaling == "inverse-eigenvalue":
-        if lam is None:
-            raise ConfigError("inverse-eigenvalue scaling needs the singular values")
-        return v / np.asarray(lam, float) ** 2
     if scaling == "unit-l2":
         return v / np.linalg.norm(v, axis=0)
-    raise ConfigError(f"unknown coefficient scaling {scaling!r}")
+    if lam is None:
+        raise ConfigError(f"{scaling} scaling needs the singular values")
+    return v / np.asarray(lam, float) ** (1 if scaling == "component-unit-norm" else 2)

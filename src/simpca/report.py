@@ -168,7 +168,9 @@ def _response_r2(scores, response):
 
 
 def build_report(x, result, config_echo, response=None):
-    """Assemble an AnalysisReport from a pipeline result."""
+    """Assemble an AnalysisReport from a pipeline result; x gives only the
+    column names. Each support's Vifs are taken from the columns of the
+    factor F the pipeline ran on, since X_A'X_A = F_A'F_A."""
     total = result.total_variance
     comps = []
     cum_sparse = 0.0
@@ -176,7 +178,7 @@ def build_report(x, result, config_echo, response=None):
     for comp, rot_ve in zip(result.components, result.rotated_vexp):
         cum_sparse += comp.extra_vexp
         cum_rot += rot_ve
-        vifs = core.vif(x, comp.support.indices)
+        vifs = core.vif(result.factor, comp.support.indices)
         variables = tuple(
             (x.column_names[i], float(c), float(v))
             for i, c, v in zip(comp.support.indices, comp.contributions, vifs)

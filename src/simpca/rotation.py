@@ -36,11 +36,12 @@ Ferguson), so Orthomax presets are dispatched through kappa = c/p.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, _check_finite
+from .core import EPS, _check_finite, _count
 from .errors import ConfigError
 
 
@@ -259,6 +260,17 @@ def _random_orthogonal(d, rng):
     return q * np.sign(np.diag(r))
 
 
+def _check_settings(tol, max_sweeps, restarts, seed):
+    """``ConfigError`` unless tol is finite and >= 0, max_sweeps and
+    restarts are integers >= 1 and seed is an integer >= 0: what ``rotate``
+    checks at entry, and the pipeline config when it is built."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise ConfigError(f"rotation tol {tol!r} is not a finite number of at least 0")
+    _count(max_sweeps, "max_sweeps")
+    _count(restarts, "restarts")
+    _count(seed, "seed", least=0)
+
+
 def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, seed=0):
     """Rotate a p x d coefficient matrix to optimize the given criterion.
 
@@ -283,6 +295,7 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     they can stop in a worse optimum than a gradient-projection rotation
     from the identity. A NaN or infinite entry raises ``NonFiniteInput``.
     """
+    _check_settings(tol, max_sweeps, restarts, seed)
     a = np.asarray(a, float)
     p, d = a.shape
     _check_finite(a)
@@ -290,8 +303,6 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
         raise ConfigError("need at least 2 columns to rotate")
     if p < d:
         raise ConfigError("need p >= d")
-    if restarts < 1:
-        raise ConfigError("need restarts >= 1")
     if kaiser:
         row_norms = np.linalg.norm(a, axis=1)
         row_norms[row_norms <= p * EPS * row_norms.max()] = 1.0

@@ -90,12 +90,11 @@ and tied columns enter in index order.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LS_CUT, _add_r2, _drop_r2, _ls_state, _pinv_diag, r2_add_drop, r_squared
+from .core import _LS_CUT, _add_r2, _count, _drop_r2, _ls_state, _pinv_diag, r2_add_drop, r_squared
 from .errors import ConfigError, EmptySupport, ExhaustedSchedule
 
 _GAIN_EPS = 1e-15
@@ -266,15 +265,7 @@ def _check_alpha(alpha):
 
 def _cap(max_cardinality, p):
     """The support size at which forward and stepwise selection stop."""
-    if max_cardinality is None:
-        return p
-    try:
-        cap = operator.index(max_cardinality)
-    except TypeError:
-        raise ConfigError(f"max_cardinality {max_cardinality} is not an integer") from None
-    if cap < 1:
-        raise ConfigError(f"max_cardinality {cap} is not at least 1")
-    return min(cap, p)
+    return p if max_cardinality is None else min(_count(max_cardinality, "max_cardinality"), p)
 
 
 class _Fit:

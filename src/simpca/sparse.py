@@ -69,15 +69,16 @@ class SimpcaPipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.nr < 1:
-            raise ConfigError("need nr >= 1")
-        if self.nd < 1 or self.nd > self.nr:
+        # checked here, not after the QR and SVD
+        if core._count(self.nr, "nr") < core._count(self.nd, "nd"):
             raise ConfigError("need 1 <= nd <= nr")
-        if self.restarts < 1:
-            raise ConfigError("need restarts >= 1")
-        # checked here, not by the generator after the QR and SVD
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError("need seed >= 0")
+        for name, kind in (("strategy", selection.SelectionStrategy),
+                           ("criterion", rotation.RotationCriterion)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} {getattr(self, name)!r} is not a {kind.__name__}")
+        if self.coefficient_scaling not in pca.SCALINGS:
+            raise ConfigError(f"unknown coefficient scaling {self.coefficient_scaling!r}")
+        rotation._check_settings(self.rotation_tol, self.max_sweeps, self.restarts, self.seed)
         if self.method not in ("pspca", "cspca", "uspca", "plain"):
             raise ConfigError(f"unknown method {self.method!r}")
 
@@ -89,6 +90,7 @@ class PipelineResult:
     pca_vexp: np.ndarray
     total_variance: float
     config: SimpcaPipelineConfig
+    factor: np.ndarray  # the F of X = Q_x F that every step ran on
 
 
 def contributions(coefficients):
@@ -304,4 +306,5 @@ def run_simpca(x, config):
         pca_vexp=pca_vexp,
         total_variance=float(np.sum(values**2)),
         config=config,
+        factor=f,
     )

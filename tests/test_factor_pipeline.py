@@ -89,6 +89,8 @@ def nspace_run_simpca(x, config):
         pca_vexp=pca_vexp,
         total_variance=float(np.sum(values**2)),
         config=config,
+        # X itself is a factor of X'X, the loop's n-space one
+        factor=values,
     )
 
 
@@ -183,8 +185,11 @@ def test_rank_is_cut_with_the_data_rows():
     u, _ = np.linalg.qr(rng.standard_normal((1000, 4)))
     v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     x = (u * [1.0, 0.8, 0.6, 100 * np.finfo(float).eps]) @ v.T
+    f = np.linalg.qr(x, mode="r")
     assert core.svd(x)[0].size == 3
-    assert core.svd(np.linalg.qr(x, mode="r"))[0].size == 4
+    assert core.svd(f)[0].size == 4
+    # given the data's rows, the factor is cut as the data is
+    assert core.svd(f, 1000)[0].size == 3
     config = SimpcaPipelineConfig(
         nd=4, nr=4, strategy=SelectionStrategy(kind="fixed-threshold")
     )

@@ -5,7 +5,7 @@ import pytest
 
 from simpca import center_scale, fit_pca
 from simpca.core import DataMatrix
-from simpca.errors import RankExceeded, ZeroColumn, ZeroComponent
+from simpca.errors import ConfigError, RankExceeded, ZeroColumn, ZeroComponent
 from simpca.pca import deflate, fix_signs, rescale_coefficients, vexp_of_component
 from simpca.selection import rescale_to_unit_norm
 
@@ -62,6 +62,24 @@ def test_fit_pca_sign_convention_and_rank_error():
         assert model.v[i, j] > 0
     with pytest.raises(RankExceeded):
         fit_pca(x, 6)
+
+
+@pytest.mark.parametrize("d, problem", [
+    (0, "d 0 is not at least 1"),
+    (-1, "d -1 is not at least 1"),
+    (1.5, "d 1.5 is not an integer"),
+    (np.float64(2.0), "d 2.0 is not an integer"),
+])
+def test_fit_pca_d_below_one_or_not_an_integer_is_a_config_error(d, problem):
+    x = random_data(np.random.default_rng(2), n=15, p=5)
+    with pytest.raises(ConfigError, match=problem) as err:
+        fit_pca(x, d)
+    assert not isinstance(err.value, RankExceeded)
+
+
+def test_fit_pca_of_rank_zero_data_is_rank_exceeded():
+    with pytest.raises(RankExceeded):
+        fit_pca(np.zeros((5, 3)))
 
 
 def test_vexp_of_component_definition_and_invariance():

@@ -112,6 +112,46 @@ def test_report_fields_consistent():
     assert rep.correlations and len(rep.correlations) == 2
 
 
+def _factor_model(n, p, k, seed):
+    """n x p observations of a k-factor model: variable j loads on factor
+    j mod k, plus noise."""
+    rng = np.random.default_rng(seed)
+    loadings = np.zeros((p, k))
+    loadings[np.arange(p), np.arange(p) % k] = rng.uniform(0.5, 0.9, p)
+    return rng.standard_normal((n, k)) @ loadings.T + 0.5 * rng.standard_normal((n, p))
+
+
+def _assert_report_vifs_are_the_data_vifs(x, configs):
+    for config in configs:
+        result = run_simpca(x, config)
+        rep = build_report(x, result, {})
+        for comp, summary in zip(result.components, rep.components):
+            vifs = [v for _, _, v in summary.variables]
+            # an R^2 near 0 is 1 - 1/(S_ii (S^+)_ii) with S_ii (S^+)_ii near
+            # 1, so it holds a few eps absolute, not relative
+            assert vifs == pytest.approx(
+                core.vif(x.values, comp.support.indices), rel=1e-12, abs=1e-15
+            )
+
+
+def test_report_vifs_from_the_factor_are_the_data_vifs():
+    _, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
+    for scale in ("none", "unit-variance"):
+        x = center_scale(values, scale)
+        _assert_report_vifs_are_the_data_vifs(x, [
+            SimpcaPipelineConfig(nd=nd, nr=nr, deflate=deflate,
+                                 strategy=SelectionStrategy(kind, alpha=0.95, threshold=0.1))
+            for kind in ("fixed-threshold", "forward", "backward")
+            for deflate in (True, False)
+            for nd, nr in ((3, 4), (9, 9))
+        ])
+    x = center_scale(_factor_model(3000, 200, 8, 0), "unit-variance")
+    _assert_report_vifs_are_the_data_vifs(x, [
+        SimpcaPipelineConfig(nd=3, nr=8, strategy=SelectionStrategy(kind, alpha=0.95, threshold=0.1))
+        for kind in ("fixed-threshold", "forward")
+    ])
+
+
 def test_report_response_block():
     rng = np.random.default_rng(1)
     resp = rng.standard_normal(20)
@@ -259,7 +299,8 @@ def test_cli_pca_tsv(tmp_path, capsys):
 def test_cli_pca_nd_zero_takes_one_svd(tmp_path, monkeypatch):
     svd = core.svd
     calls = []
-    monkeypatch.setattr(core, "svd", lambda x: calls.append(1) or svd(x))
+    # core.svd takes the factor and the data's n
+    monkeypatch.setattr(core, "svd", lambda *args: calls.append(1) or svd(*args))
     argv = ["pca", "--input", EUROJOBS, "--id-column", "country", "--scale", "none"]
     auto, fixed = tmp_path / "auto.tsv", tmp_path / "fixed.tsv"
     assert main(argv + ["--nd", "0", "--out", str(auto)]) == 0
@@ -553,18 +594,19 @@ def test_cli_one_nr_rule(tmp_path, capsys):
     # an nr below 1 and a rotation without a start are config errors in
     # both commands that rotate, whatever the nr and the criterion
     for argv in (["rotate", *base], ["simpca", *base, "--nd", "1"]):
-        for flags, message in ((["--nr", "0"], "need nr >= 1"),
-                               (["--nr", "-1", "--criterion", "equamax"], "need nr >= 1"),
-                               (["--nr", "1", "--restarts", "0"], "need restarts >= 1"),
-                               (["--nr", "3", "--restarts", "0"], "need restarts >= 1"),
-                               (["--nr", "3", "--seed", "-1"], "need seed >= 0")):
+        for flags, message in ((["--nr", "0"], "nr 0 is not at least 1"),
+                               (["--nr", "-1", "--criterion", "equamax"],
+                                "nr -1 is not at least 1"),
+                               (["--nr", "1", "--restarts", "0"], "restarts 0 is not at least 1"),
+                               (["--nr", "3", "--restarts", "0"], "restarts 0 is not at least 1"),
+                               (["--nr", "3", "--seed", "-1"], "seed -1 is not at least 0")):
             assert main(argv + flags) == 2
             assert f"config error: {message}" in capsys.readouterr().err
     # a count below its minimum is named as such, before the file is read
     missing = ["--input", str(tmp_path / "missing.csv"), "--scale", "none"]
-    for argv, message in ((["pca", *base, "--nd", "-1"], "need nd >= 0"),
-                          (["pca", *missing, "--nd", "-1"], "need nd >= 0"),
-                          (["rotate", *missing, "--nr", "0"], "need nr >= 1")):
+    for argv, message in ((["pca", *base, "--nd", "-1"], "nd -1 is not at least 0"),
+                          (["pca", *missing, "--nd", "-1"], "nd -1 is not at least 0"),
+                          (["rotate", *missing, "--nr", "0"], "nr 0 is not at least 1")):
         assert main(argv) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 

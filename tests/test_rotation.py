@@ -16,7 +16,7 @@ from simpca import (
     run_simpca,
 )
 from simpca import rotation
-from simpca.errors import NonFiniteInput
+from simpca.errors import ConfigError, NonFiniteInput
 from simpca.pca import deflate
 from simpca.report import ingest_csv
 from simpca.rotation import _batches, _levels, _plane_angle, _random_orthogonal, _sweep
@@ -429,6 +429,25 @@ def test_rotate_matches_cyclic_oracle():
     # lanes retired at different sweeps, lanes ran to the limit, and both
     # happened within one call
     assert staggered > 20 and at_limit > 20 and mixed > 20
+
+
+@pytest.mark.parametrize("setting, problem", [
+    (dict(seed=-1), "seed -1 is not at least 0"),
+    (dict(seed=1.5), "seed 1.5 is not an integer"),
+    (dict(restarts=1.5), "restarts 1.5 is not an integer"),
+    (dict(restarts=0), "restarts 0 is not at least 1"),
+    (dict(max_sweeps=2.5), "max_sweeps 2.5 is not an integer"),
+    (dict(max_sweeps=0), "max_sweeps 0 is not at least 1"),
+    (dict(tol=math.nan), "rotation tol nan is not a finite number"),
+    (dict(tol=math.inf), "rotation tol inf is not a finite number"),
+    (dict(tol=-1e-8), "rotation tol -1e-08 is not a finite number"),
+    (dict(tol="0"), "rotation tol '0' is not a finite number"),
+])
+def test_rotate_settings_are_config_errors(setting, problem):
+    # checked at entry, the seed too with one restart, which draws no start
+    a = np.random.default_rng(0).standard_normal((6, 3))
+    with pytest.raises(ConfigError, match=problem):
+        rotate(a, RotationCriterion.varimax(), **setting)
 
 
 def test_rotate_names_the_winning_restart():

@@ -20,6 +20,7 @@ from simpca import (
     run_simpca,
     uspca_component,
 )
+from simpca import cli, pca
 from simpca.core import _ls_svd, r_squared
 from simpca.errors import ConfigError, EmptySupport, RankExceeded, SingularSubset, ZeroTarget
 from simpca.pca import deflate, vexp_of_component
@@ -402,10 +403,36 @@ def test_pipeline_config_validation():
             _pipeline_config(**kw)
     # the generator's seed is checked when the config is built, not after
     # the QR and SVD; every config error is a ConfigError
-    for seed in (-1, 1.5, None):
-        with pytest.raises(ConfigError, match="need seed >= 0"):
+    for seed, problem in ((-1, "seed -1 is not at least 0"),
+                          (1.5, "seed 1.5 is not an integer"),
+                          (None, "seed None is not an integer")):
+        with pytest.raises(ConfigError, match=problem):
             _pipeline_config(seed=seed)
     assert _pipeline_config(seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("field, problem", [
+    (dict(strategy="forward"), "strategy 'forward' is not a SelectionStrategy"),
+    (dict(criterion="varimax"), "criterion 'varimax' is not a RotationCriterion"),
+    (dict(coefficient_scaling="bogus"), "unknown coefficient scaling 'bogus'"),
+    (dict(max_sweeps=0), "max_sweeps 0 is not at least 1"),
+    (dict(max_sweeps=2.5), "max_sweeps 2.5 is not an integer"),
+    (dict(nd=1.5), "nd 1.5 is not an integer"),
+    (dict(nr=2.5), "nr 2.5 is not an integer"),
+    (dict(nd=0), "nd 0 is not at least 1"),
+    (dict(rotation_tol=-1e-8), "rotation tol -1e-08 is not a finite number"),
+    (dict(rotation_tol=float("nan")), "rotation tol nan is not a finite number"),
+    (dict(rotation_tol=None), "rotation tol None is not a finite number"),
+])
+def test_pipeline_config_rejects_each_bad_field_when_built(field, problem):
+    with pytest.raises(ConfigError, match=problem):
+        _pipeline_config(**field)
+
+
+def test_pipeline_config_scalings_are_those_of_rescale_coefficients():
+    for scaling in pca.SCALINGS:
+        assert _pipeline_config(coefficient_scaling=scaling).coefficient_scaling == scaling
+    assert sorted(cli._COEF_SCALES.values()) == sorted(pca.SCALINGS)
 
 
 def test_pipeline_config_defaults_to_varimax():
