@@ -8,6 +8,10 @@ step starts from, ordered by variance explained with signs fixed, and
 takes its rotation settings from the same flags as ``simpca``. An nr, or a
 ``pca`` nd, above the numerical rank of the data is ``RankExceeded``.
 
+Each command reads the data through one QR: of X, or of [X y] with the
+centered response y when ``--response`` names one, and no n-row array is
+read after it (``_load``).
+
 Exit codes: 0 success, 2 configuration error (``ConfigError``), 3 data
 error (``DataError``, ``OSError``), 4 numerical failure (``NumericalError``,
 numpy's ``LinAlgError``). A flag whose check needs no data is checked
@@ -123,7 +127,10 @@ def _criterion_from_args(args):
 
 
 def _load(args):
-    names, values, ids, resp = report.ingest_csv(
+    """The centered data x, for its names and n, and the one factor every
+    command reads: R([X y]) of X and the centered response with
+    ``--response``, the factor F of X alone without it. F = R[:p, :p]."""
+    names, values, _, resp = report.ingest_csv(
         args.input,
         response_column=args.response,
         id_column=args.id_column,
@@ -134,7 +141,9 @@ def _load(args):
     # round-off, which the library accepts but no analysis should report
     if np.all(values == values[0]):
         raise ConstantData(values.shape[1])
-    return x, ids, resp
+    del values  # the raw block, freed before the QR copies the centered one
+    xy = x.values if resp is None else np.column_stack([x.values, resp - resp.mean()])
+    return x, np.linalg.qr(xy, mode="r")
 
 
 def _echo(args, skip=("out",)):
@@ -151,10 +160,10 @@ def _write(payload, args):
 
 def _cmd_pca(args):
     core._count(args.nd, "nd", least=0)
-    x, _, resp = _load(args)
+    x, r = _load(args)
     # --nd 0 reports every component up to the rank, read off the one SVD;
     # the echo holds the count reported, as --nd <rank> would
-    rep = report.pca_report(x, args.nd or None, _echo(args), response=resp)
+    rep = report.pca_report(x, r, args.nd or None, _echo(args))
     rep.config["nd"] = len(rep.pca_vexp_pct)
     _write(report.emit(rep, args.format), args)
 
@@ -181,8 +190,8 @@ def _cmd_rotate(args):
     # threshold of 0, which keeps every variable, stands for any strategy
     keep_all = selection.SelectionStrategy("fixed-threshold", threshold=0.0)
     config = _config(args, args.nr, keep_all)
-    x, _, _ = _load(args)
-    b, _, _, result = pca._rotated_components(np.linalg.qr(x.values, mode="r"), x.n, config)
+    x, r = _load(args)
+    b, _, _, result = pca._rotated_components(r[:x.p, :x.p], x.n, config)
     lines = ["\t".join(["variable"] + [f"comp{j + 1}" for j in range(args.nr)])]
     for name, row in zip(x.column_names, b):
         lines.append("\t".join([name] + [f"{v:.6f}" for v in row]))
@@ -203,9 +212,9 @@ def _cmd_simpca(args):
         norm_m=np.inf if args.norm == "inf" else int(args.norm),
     )
     config = _config(args, args.nd, strategy, method=args.method, deflate=args.deflate)
-    x, _, resp = _load(args)
-    result = sparse.run_simpca(x, config)
-    rep = report.build_report(x, result, _echo(args), response=resp)
+    x, r = _load(args)
+    result = sparse._run(r[:x.p, :x.p], x.n, config)
+    rep = report.build_report(x, result, _echo(args), r)
     _write(report.emit(rep, args.format), args)
 
 

@@ -29,6 +29,13 @@ def _count(value, name, least=1):
     return value
 
 
+def _check_bool(value, name):
+    """``ConfigError`` unless value is a ``bool`` or an ``np.bool_``: a
+    switch such as "no" would otherwise act on its truthiness."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} {value!r} is not a bool")
+
+
 def _check_finite(values):
     if not np.isfinite(values).all():
         row, col = np.argwhere(~np.isfinite(values))[0]

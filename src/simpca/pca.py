@@ -21,14 +21,14 @@ class PcaModel:
     """Singular triplets of the centered data plus per-component vexp.
 
     Columns of ``v`` are unit-L2 coefficient vectors, ``scores`` = X @ v,
-    and ``vexp[j]`` = lambda[j]**2 in units of total variance.
+    the one n-space product, and ``vexp[j]`` = lambda[j]**2, in the units
+    of the total variance ||X||_F^2.
     """
 
     v: np.ndarray
     lam: np.ndarray
     scores: np.ndarray
     vexp: np.ndarray
-    total_variance: float
 
 
 def fix_signs(v):
@@ -44,9 +44,11 @@ def fix_signs(v):
 
 
 def _leading(s, v, d):
-    """The first d of the rank-cut singular pairs (s, V), each column of V
-    with its sign fixed (``fix_signs``); ``ConfigError`` unless d is an
-    integer >= 1, ``RankExceeded`` for d above the rank."""
+    """The first d of the rank-cut singular pairs (s, V), every pair when d
+    is None, each column of V with its sign fixed (``fix_signs``);
+    ``ConfigError`` unless d is an integer >= 1, ``RankExceeded`` for d
+    above the rank, or for d None on rank 0."""
+    d = (s.size or 1) if d is None else d
     if core._count(d, "d") > s.size:
         raise RankExceeded(d, s.size)
     return s[:d], fix_signs(v[:, :d])[0]
@@ -59,17 +61,13 @@ def fit_pca(x, d=None):
 
     The spectrum is that of the triangular factor F of X = QF, rank-cut
     with X's n (``core.svd``); only the scores X V are formed in n-space.
+    The CLI's ``pca`` command reads the same spectrum off its own factor
+    (``report.pca_report``) and never calls this.
     """
     values = np.asarray(x, float)
     s, v = core.svd(np.linalg.qr(values, mode="r"), values.shape[0])
-    lam, v = _leading(s, v, (s.size or 1) if d is None else d)
-    return PcaModel(
-        v=v,
-        lam=lam,
-        scores=values @ v,
-        vexp=lam**2,
-        total_variance=float(np.sum(values**2)),
-    )
+    lam, v = _leading(s, v, d)
+    return PcaModel(v=v, lam=lam, scores=values @ v, vexp=lam**2)
 
 
 def _rotated_components(f, n, config, deflated=False):

@@ -4,6 +4,12 @@ The report mirrors the summary tables used throughout the analyses:
 per-component vexp / cvexp / rcvexp / cardinality / minimum contribution,
 signed percent contributions with per-variable Vifs within the support,
 component correlations, and optional external-response R^2.
+
+Every number is read off one triangular factor, R([X y]) = [F c; 0 rho]
+of the centered data X and the centered response y (c = Q_x'y), or F of
+X alone without a response. The total variance is ||F||_F^2, the Vifs
+and correlations depend on X only through F, and the R^2 of y on scores
+X W is that of (c, rho) on F W. No n-space array is read.
 """
 
 import csv
@@ -14,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import core, pca, sparse
+from . import core, pca
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -157,25 +163,36 @@ class AnalysisReport:
     response_r2: tuple  # R^2 for 1..nd components, empty without response
 
 
-def _response_r2(scores, response):
-    """R^2 of the centered response on the first k score columns, for
-    k = 1 .. d; empty without a response."""
-    if response is None:
+def _response_r2(r, w):
+    """R^2 of the response on the first k columns of the scores X W, for
+    k = 1 .. d, read off R([X y]) = [F c; 0 rho] as that of c on F W_k
+    (with rho); empty without r or when r is the factor of X alone (p
+    columns)."""
+    p = w.shape[0]
+    if r is None or r.shape[1] == p:
         return ()
-    resp = np.asarray(response, float)
-    resp = resp - resp.mean()
-    return tuple(core.r_squared(scores[:, :k], resp) for k in range(1, scores.shape[1] + 1))
+    t = r[:, :p] @ w
+    return tuple(core.r_squared(t[:, :k], r[:, p]) for k in range(1, w.shape[1] + 1))
 
 
-def build_report(x, result, config_echo, response=None):
+def build_report(x, result, config_echo, r=None):
     """Assemble an AnalysisReport from a pipeline result; x gives only the
-    column names. Each support's Vifs are taken from the columns of the
-    factor F the pipeline ran on, since X_A'X_A = F_A'F_A."""
+    column names.
+
+    Every number is read off a factor. Each support's Vifs come from the
+    columns of the factor F the pipeline ran on (``result.factor``), since
+    X_A'X_A = F_A'F_A, and the component correlations are the cosines of
+    the F-space scores F W (X is centered, so their means are 0). The
+    response R^2 is read off r, R([X y]) of the data and its centered
+    response; there is none without r.
+    """
     total = result.total_variance
+    w = np.zeros((len(x.column_names), len(result.components)))
     comps = []
     cum_sparse = 0.0
     cum_rot = 0.0
-    for comp, rot_ve in zip(result.components, result.rotated_vexp):
+    for j, (comp, rot_ve) in enumerate(zip(result.components, result.rotated_vexp)):
+        w[list(comp.support.indices), j] = comp.coefficients
         cum_sparse += comp.extra_vexp
         cum_rot += rot_ve
         vifs = core.vif(result.factor, comp.support.indices)
@@ -195,11 +212,11 @@ def build_report(x, result, config_echo, response=None):
                 variables=variables,
             )
         )
-    if len(result.components) >= 2:
-        corr = sparse.component_correlations(result.components)
-        correlations = tuple(tuple(float(v) for v in row) for row in corr)
-    else:
-        correlations = ()
+    correlations = ()
+    if len(comps) >= 2:
+        t = result.factor @ w
+        t /= np.linalg.norm(t, axis=0)
+        correlations = tuple(tuple(float(v) for v in row) for row in np.clip(t.T @ t, -1.0, 1.0))
     return AnalysisReport(
         config=dict(config_echo),
         column_names=tuple(x.column_names),
@@ -207,24 +224,31 @@ def build_report(x, result, config_echo, response=None):
         pca_vexp_pct=tuple(100.0 * v / total for v in result.pca_vexp),
         components=tuple(comps),
         correlations=correlations,
-        response_r2=_response_r2(
-            np.column_stack([c.scores for c in result.components]), response
-        ),
+        response_r2=_response_r2(r, w),
     )
 
 
-def pca_report(x, d, config_echo, response=None):
+def pca_report(x, r, d, config_echo):
     """PCA-only report: vexp spectrum, no sparse component blocks; d=None
-    reports every component up to the numerical rank."""
-    model = pca.fit_pca(x, d)
+    reports every component up to the numerical rank.
+
+    r is R([X y]) of the data and its centered response, or the factor F
+    of X alone: the spectrum is that of F = R[:p, :p], rank-cut with X's n,
+    the total variance ||F||_F^2, and the response R^2 that of the leading
+    principal directions V, read off r as in ``build_report``.
+    """
+    p = len(x.column_names)
+    f = r[:p, :p]
+    total = float(np.sum(f**2))
+    lam, v = pca._leading(*core.svd(f, x.n), d)
     return AnalysisReport(
         config=dict(config_echo),
         column_names=tuple(x.column_names),
-        total_variance=model.total_variance,
-        pca_vexp_pct=tuple(100.0 * v / model.total_variance for v in model.vexp),
+        total_variance=total,
+        pca_vexp_pct=tuple(100.0 * v / total for v in lam**2),
         components=(),
         correlations=(),
-        response_r2=_response_r2(model.scores, response),
+        response_r2=_response_r2(r, v),
     )
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, _check_finite, _count
+from .core import EPS, _check_bool, _check_finite, _count
 from .errors import ConfigError
 
 
@@ -260,15 +260,17 @@ def _random_orthogonal(d, rng):
     return q * np.sign(np.diag(r))
 
 
-def _check_settings(tol, max_sweeps, restarts, seed):
+def _check_settings(tol, max_sweeps, restarts, seed, kaiser):
     """``ConfigError`` unless tol is finite and >= 0, max_sweeps and
-    restarts are integers >= 1 and seed is an integer >= 0: what ``rotate``
-    checks at entry, and the pipeline config when it is built."""
+    restarts are integers >= 1, seed is an integer >= 0 and kaiser is a
+    bool: what ``rotate`` checks at entry, and the pipeline config when it
+    is built."""
     if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise ConfigError(f"rotation tol {tol!r} is not a finite number of at least 0")
     _count(max_sweeps, "max_sweeps")
     _count(restarts, "restarts")
     _count(seed, "seed", least=0)
+    _check_bool(kaiser, "kaiser")
 
 
 def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, seed=0):
@@ -295,7 +297,7 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     they can stop in a worse optimum than a gradient-projection rotation
     from the identity. A NaN or infinite entry raises ``NonFiniteInput``.
     """
-    _check_settings(tol, max_sweeps, restarts, seed)
+    _check_settings(tol, max_sweeps, restarts, seed, kaiser)
     a = np.asarray(a, float)
     p, d = a.shape
     _check_finite(a)

@@ -90,6 +90,7 @@ and tied columns enter in index order.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,9 @@ class SelectionStrategy:
 
     kind: 'fixed-threshold', 'adaptive-threshold',
     'iterative-reverse-threshold', 'forward', 'backward', 'stepwise'.
+    Each field the kind reads is checked when the record is built, with
+    the check of the function that reads it (``ConfigError``); the others
+    are ignored.
     """
 
     kind: str
@@ -160,17 +164,28 @@ class SelectionStrategy:
                              "iterative-reverse-threshold", "forward", "backward",
                              "stepwise"):
             raise ConfigError(f"unknown selection strategy {self.kind!r}")
+        if self.kind == "fixed-threshold":
+            _check_threshold(self.threshold)
+        elif self.kind == "adaptive-threshold":
+            _check_schedule(self.t0, self.step)
+        else:
+            _check_alpha(self.alpha)
+        if self.kind in ("fixed-threshold", "adaptive-threshold"):
+            _check_norm(self.norm_m)
+        if self.kind == "stepwise":
+            _check_entry_exit(self.entry, self.exit)
+        if self.kind in ("forward", "stepwise") and self.max_cardinality is not None:
+            _count(self.max_cardinality, "max_cardinality")
 
 
 def rescale_to_unit_norm(coefficients, norm_m=2):
     """Rescale a coefficient vector to unit L_m norm (m in {1, 2, np.inf})."""
     a = np.asarray(coefficients, float)
+    _check_norm(norm_m)
     if norm_m == np.inf:
         norm = np.max(np.abs(a))
-    elif norm_m in (1, 2):
-        norm = np.sum(np.abs(a) ** norm_m) ** (1.0 / norm_m)
     else:
-        raise ConfigError(f"unsupported norm {norm_m!r}")
+        norm = np.sum(np.abs(a) ** norm_m) ** (1.0 / norm_m)
     if norm == 0.0:
         raise EmptySupport()
     return a / norm
@@ -182,8 +197,7 @@ def threshold_support(coefficients, t, norm_m=2):
     Every |a_i| is at most 1 after that rescaling, so a t above 1 could
     never keep a variable, and one below 0 would keep every variable under
     a cut that means nothing: either (or NaN) is a configuration error."""
-    if not 0 <= t <= 1:
-        raise ConfigError("threshold must be in [0, 1]")
+    _check_threshold(t)
     a = rescale_to_unit_norm(coefficients, norm_m)
     indices = tuple(int(i) for i in np.nonzero(np.abs(a) >= t)[0])
     if not indices:
@@ -206,9 +220,7 @@ def adaptive_threshold_support(coefficients, t0, step, norm_m=2):
     with t0 / step. With steps finer than rounding, k is good only to within
     rounding, so the threshold is capped at top. A schedule with no
     threshold in (0, top] is ``ExhaustedSchedule``."""
-    t0, step = float(t0), float(step)
-    if not (0 < t0 < math.inf and 0 < step < math.inf):
-        raise ConfigError("t0 and step must be positive and finite")
+    t0, step = _check_schedule(t0, step)
     a = rescale_to_unit_norm(coefficients, norm_m)
     top = min(1.0, float(np.max(np.abs(a))))
     k = max(0.0, float(np.ceil((t0 - top) / step)))
@@ -258,9 +270,35 @@ def _first_best(items, r2s):
     return best_i, best_r2
 
 
+# Each check rejects a value that is not a number (None, a string) as a
+# ConfigError too, not as the TypeError of its comparison.
 def _check_alpha(alpha):
-    if not 0 < alpha <= 1:
+    if not (isinstance(alpha, numbers.Real) and 0 < alpha <= 1):
         raise ConfigError("alpha must be in (0, 1]")
+
+
+def _check_norm(norm_m):
+    if norm_m not in (1, 2, np.inf):
+        raise ConfigError(f"unsupported norm {norm_m!r}")
+
+
+def _check_threshold(t):
+    if not (isinstance(t, numbers.Real) and 0 <= t <= 1):
+        raise ConfigError("threshold must be in [0, 1]")
+
+
+def _check_schedule(t0, step):
+    """(t0, step) as floats; ``ConfigError`` unless both are positive and
+    finite."""
+    if not all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in (t0, step)):
+        raise ConfigError("t0 and step must be positive and finite")
+    return float(t0), float(step)
+
+
+def _check_entry_exit(entry, exit):
+    if not (isinstance(entry, numbers.Real) and isinstance(exit, numbers.Real)
+            and entry >= exit):
+        raise ConfigError("entry must be >= exit")
 
 
 def _cap(max_cardinality, p):
@@ -566,8 +604,7 @@ def stepwise_select(x, target, alpha, entry=1e-6, exit=1e-6, max_cardinality=Non
     against add/remove cycling; previously visited supports end the search.
     """
     _check_alpha(alpha)
-    if entry < exit:
-        raise ConfigError("entry must be >= exit")
+    _check_entry_exit(entry, exit)
     values = np.asarray(x, float)
     cap = _cap(max_cardinality, values.shape[1])
     fit = _Fit(values, target)

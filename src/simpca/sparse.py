@@ -13,13 +13,14 @@ already accepted. So on any fixed support CSPCA >= USPCA and
 CSPCA >= PSPCA by construction.
 
 Each of these quantities, like every selection R^2, depends on X only
-through the norms ||Xu||. So ``run_simpca`` takes one QR, X = Q_x F, and
-runs every step on the triangular factor F (p x p, or n x p when n < p),
-for which ||Fu|| = ||Xu||, as Chan's R-SVD (TOMS 1982) does for the SVD:
-the SVDs, rotations, selections, sparsifiers and deflations all see F.
+through the norms ||Xu||. So the pipeline (``_run``) runs every step on
+the triangular factor F of X = Q_x F (p x p, or n x p when n < p), for
+which ||Fu|| = ||Xu||, as Chan's R-SVD (TOMS 1982) does for the SVD: the
+SVDs, rotations, selections, sparsifiers and deflations all see F.
 Deflating F against the F-space scores F W gives the factor of X deflated
-against X W, with the same Q_x. Only the final scores X W are formed in
-n-space.
+against X W, with the same Q_x. ``_run`` takes F and n, which is how the
+CLI runs it; ``run_simpca`` takes X, does the one QR, and forms only the
+final scores X W in n-space.
 """
 
 from dataclasses import dataclass, replace
@@ -37,10 +38,11 @@ class SparseComponent:
     """One accepted sparse component.
 
     ``coefficients`` holds the nonzero values over ``support.indices`` (with
-    sign); ``scores`` = selected columns @ coefficients. ``vexp`` is against
-    the full data, ``extra_vexp`` against the orthocomplement of previously
-    accepted components. ``contributions`` are signed percents of the
-    unit-L1-scaled coefficient vector.
+    sign); ``scores`` = selected columns @ coefficients, the columns of X
+    in what ``run_simpca`` returns and those of its factor F in ``_run``.
+    ``vexp`` is against the full data, ``extra_vexp`` against the
+    orthocomplement of previously accepted components. ``contributions``
+    are signed percents of the unit-L1-scaled coefficient vector.
     """
 
     support: selection.SupportSet
@@ -78,7 +80,9 @@ class SimpcaPipelineConfig:
                 raise ConfigError(f"{name} {getattr(self, name)!r} is not a {kind.__name__}")
         if self.coefficient_scaling not in pca.SCALINGS:
             raise ConfigError(f"unknown coefficient scaling {self.coefficient_scaling!r}")
-        rotation._check_settings(self.rotation_tol, self.max_sweeps, self.restarts, self.seed)
+        rotation._check_settings(self.rotation_tol, self.max_sweeps, self.restarts, self.seed,
+                                 self.kaiser)
+        core._check_bool(self.deflate, "deflate")
         if self.method not in ("pspca", "cspca", "uspca", "plain"):
             raise ConfigError(f"unknown method {self.method!r}")
 
@@ -88,7 +92,7 @@ class PipelineResult:
     components: tuple
     rotated_vexp: np.ndarray
     pca_vexp: np.ndarray
-    total_variance: float
+    total_variance: float  # ||F||_F^2 = ||X||_F^2
     config: SimpcaPipelineConfig
     factor: np.ndarray  # the F of X = Q_x F that every step ran on
 
@@ -258,6 +262,39 @@ def _sparsify(x, q, support, target, coefcol, method, accepted):
     return _plain_component(x, q, support, coefcol, target)
 
 
+def _run(f, n, config):
+    """The pipeline of ``run_simpca`` on the triangular factor f of the
+    n-row data: every component keeps its F-space scores F_A w, and the
+    total variance is ||F||_F^2."""
+    q = f
+    b, targets, pca_vexp, _ = pca._rotated_components(f, n, config)
+    accepted = []
+    rotated_vexp = []
+    for j in range(config.nd):
+        if j:
+            # deflate the *original* factor against the whole accepted
+            # block: sequential single-component deflation would leave q
+            # correlated with the older components whenever the scores are
+            # oblique
+            q = pca.deflate(f, np.column_stack(_scores(accepted)))
+            if config.deflate:
+                b, targets, _, _ = pca._rotated_components(q, n, config, deflated=True)
+        col = 0 if config.deflate else j
+        target = targets[:, col]
+        support = selection.select_support(f, target, b[:, col], config.strategy)
+        accepted.append(_sparsify(f, q, support, target, b[:, col], config.method, accepted))
+        rotated_vexp.append(pca.vexp_of_component(q, target))
+
+    return PipelineResult(
+        components=tuple(accepted),
+        rotated_vexp=np.asarray(rotated_vexp),
+        pca_vexp=pca_vexp,
+        total_variance=float(np.sum(f**2)),
+        config=config,
+        factor=f,
+    )
+
+
 def run_simpca(x, config):
     """Run the full pipeline: PCA, rotation, per-component selection and
     sparsification.
@@ -271,40 +308,12 @@ def run_simpca(x, config):
     rank allows up to nr, and step j takes the leading one; without it,
     step j takes the j-th rotated component of X.
 
-    Every step runs on the triangular factor F of X = Q_x F (see the module
-    docstring); each component's ``scores`` are then formed once in
-    n-space from its support and coefficients.
+    Every step runs on the triangular factor F of X = Q_x F (``_run``, see
+    the module docstring); each component's ``scores`` are then formed once
+    in n-space from its support and coefficients.
     """
     values = np.asarray(x, float)
-    n = values.shape[0]
-    f = q = np.linalg.qr(values, mode="r")
-    b, targets, pca_vexp, _ = pca._rotated_components(f, n, config)
-    accepted = []
-    f_scores = []
-    rotated_vexp = []
-    for j in range(config.nd):
-        if j:
-            # deflate the *original* factor against the whole accepted
-            # block: sequential single-component deflation would leave q
-            # correlated with the older components whenever the scores are
-            # oblique
-            q = pca.deflate(f, np.column_stack(f_scores))
-            if config.deflate:
-                b, targets, _, _ = pca._rotated_components(q, n, config, deflated=True)
-        col = 0 if config.deflate else j
-        target = targets[:, col]
-        support = selection.select_support(f, target, b[:, col], config.strategy)
-        comp = _sparsify(f, q, support, target, b[:, col], config.method, f_scores)
-        rotated_vexp.append(pca.vexp_of_component(q, target))
-        f_scores.append(comp.scores)
-        scores = values[:, list(support.indices)] @ comp.coefficients
-        accepted.append(replace(comp, scores=scores))
-
-    return PipelineResult(
-        components=tuple(accepted),
-        rotated_vexp=np.asarray(rotated_vexp),
-        pca_vexp=pca_vexp,
-        total_variance=float(np.sum(values**2)),
-        config=config,
-        factor=f,
-    )
+    result = _run(np.linalg.qr(values, mode="r"), values.shape[0], config)
+    return replace(result, components=tuple(
+        replace(c, scores=values[:, list(c.support.indices)] @ c.coefficients)
+        for c in result.components))

@@ -15,7 +15,7 @@ from simpca import (
     ingest_csv,
     run_simpca,
 )
-from simpca import core
+from simpca import core, pca, sparse
 from simpca.cli import main
 from simpca.errors import (
     EmptyInput,
@@ -86,6 +86,13 @@ def test_ingest_eurojobs_shape():
     assert "agriculture" in names
 
 
+def _factor(x, response=None):
+    """R([X y]) of x and the centered response, as the CLI takes it, or the
+    factor of x alone without a response."""
+    xy = x.values if response is None else np.column_stack([x.values, response - response.mean()])
+    return np.linalg.qr(xy, mode="r")
+
+
 def _small_report(response=None):
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((20, 5)) @ rng.standard_normal((5, 5))
@@ -97,7 +104,7 @@ def _small_report(response=None):
         criterion=RotationCriterion.varimax(),
     )
     result = run_simpca(x, cfg)
-    return x, build_report(x, result, {"seed": 0}, response=response)
+    return x, build_report(x, result, {"seed": 0}, _factor(x, response))
 
 
 def test_report_fields_consistent():
@@ -150,6 +157,56 @@ def test_report_vifs_from_the_factor_are_the_data_vifs():
         SimpcaPipelineConfig(nd=3, nr=8, strategy=SelectionStrategy(kind, alpha=0.95, threshold=0.1))
         for kind in ("fixed-threshold", "forward")
     ])
+
+
+def _assert_factor_report_is_the_nspace_report(x, response, configs):
+    """The reports read off R([X y]) against what they took from n-space
+    scores before: the sum of values^2, the R^2 of the centered response on
+    the first k score columns, and ``sparse.component_correlations``."""
+    close = dict(rel=1e-12, abs=1e-14)
+    total = float(np.sum(x.values**2))
+
+    def nspace_r2(scores):
+        if response is None:
+            return []
+        y = response - response.mean()
+        return [core.r_squared(scores[:, :k], y) for k in range(1, scores.shape[1] + 1)]
+
+    r = _factor(x, response)
+    rep = pca_report(x, r, 3, {})
+    assert list(rep.response_r2) == pytest.approx(nspace_r2(pca.fit_pca(x, 3).scores), **close)
+    assert rep.total_variance == pytest.approx(total, **close)
+    for config in configs:
+        want = run_simpca(x, config)
+        got = sparse._run(r[:x.p, :x.p], x.n, config)
+        assert ([c.support.indices for c in got.components]
+                == [c.support.indices for c in want.components])
+        rep = build_report(x, got, {}, r)
+        scores = np.column_stack([c.scores for c in want.components])
+        assert list(rep.response_r2) == pytest.approx(nspace_r2(scores), **close)
+        assert rep.total_variance == pytest.approx(total, **close)
+        assert np.array(rep.correlations) == pytest.approx(
+            sparse.component_correlations(want.components), rel=0, abs=1e-12)
+
+
+def test_report_read_off_the_factor_is_the_nspace_report():
+    configs = [
+        SimpcaPipelineConfig(nd=3, nr=4, method=method, deflate=deflate,
+                             strategy=SelectionStrategy(kind, alpha=0.95, threshold=0.1))
+        for kind, method in (("forward", "pspca"), ("backward", "cspca"),
+                             ("stepwise", "uspca"), ("fixed-threshold", "plain"))
+        for deflate in (True, False)
+    ]
+    for scale in ("none", "unit-variance"):
+        for response in (None, "finance"):
+            names, values, _, resp = ingest_csv(
+                EUROJOBS, response_column=response, id_column="country")
+            x = center_scale(values, scale, names)
+            _assert_factor_report_is_the_nspace_report(x, resp, configs)
+    for n, p in ((3000, 201), (25, 61)):
+        raw = _factor_model(n, p, 8, 1)
+        x = center_scale(raw[:, :-1], "unit-variance")
+        _assert_factor_report_is_the_nspace_report(x, raw[:, -1], configs[:4])
 
 
 def test_report_response_block():
@@ -229,14 +286,14 @@ def _eurojobs_reports():
             EUROJOBS, response_column=response, id_column="country"
         )
         x = center_scale(values, scaling="unit-variance", column_names=names)
-        yield pca_report(x, 4, {"nd": 4, "response": response}, response=resp)
+        yield pca_report(x, _factor(x, resp), 4, {"nd": 4, "response": response})
         for method in ("pspca", "cspca", "uspca", "plain"):
             cfg = SimpcaPipelineConfig(
                 nd=3, nr=4, method=method,
                 strategy=SelectionStrategy(kind="forward", alpha=0.95),
             )
             echo = {"method": method, "alpha": 0.95, "kappa": None, "norm": "inf"}
-            yield build_report(x, run_simpca(x, cfg), echo, response=resp)
+            yield build_report(x, run_simpca(x, cfg), echo, _factor(x, resp))
 
 
 def test_json_schema_matches_field_by_field_oracle():
@@ -268,7 +325,7 @@ def test_tsv_blocks():
 def test_pca_report_only():
     rng = np.random.default_rng(2)
     x = center_scale(rng.standard_normal((15, 4)))
-    rep = pca_report(x, 3, {"nd": 3})
+    rep = pca_report(x, _factor(x), 3, {"nd": 3})
     assert len(rep.pca_vexp_pct) == 3
     assert rep.components == ()
 
@@ -609,6 +666,50 @@ def test_cli_one_nr_rule(tmp_path, capsys):
                           (["rotate", *missing, "--nr", "0"], "nr 0 is not at least 1")):
         assert main(argv) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_cli_checks_selection_flags_before_reading_the_input(tmp_path, capsys):
+    missing = ["simpca", "--input", str(tmp_path / "missing.csv"), "--scale", "none",
+               "--nr", "3", "--nd", "2"]
+    for flags, message in ((["--alpha", "1.5"], "alpha must be in (0, 1]"),
+                           (["--select", "threshold", "--threshold", "2"],
+                            "threshold must be in [0, 1]"),
+                           (["--select", "adaptive", "--t0", "-1"],
+                            "t0 and step must be positive and finite")):
+        assert main(missing + flags) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    # a flag the selection does not read is not checked
+    eurojobs = ["simpca", "--input", EUROJOBS, "--id-column", "country", "--scale", "none",
+                "--nr", "3", "--nd", "2", "--out", str(tmp_path / "out.tsv")]
+    assert main(eurojobs + ["--select", "threshold", "--alpha", "2"]) == 0
+
+
+def test_cli_reads_the_data_once_through_one_qr(tmp_path, monkeypatch):
+    # 200 x 5 features: after the one QR no command reads an array of n rows,
+    # and none goes through the library's n-space entry points
+    raw = _factor_model(200, 6, 2, 3)
+    path = tmp_path / "tall.csv"
+    np.savetxt(path, raw, delimiter=",", header="a,b,c,d,e,y", comments="")
+    qr, svd = np.linalg.qr, core.svd
+    qrs, svds = [], []
+
+    def no_nspace(*args):
+        raise AssertionError("an n-space entry point ran")
+
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qrs.append(a.shape) or qr(a, mode))
+    monkeypatch.setattr(core, "svd", lambda f, n: svds.append((f.shape, n)) or svd(f, n))
+    monkeypatch.setattr(sparse, "run_simpca", no_nspace)
+    monkeypatch.setattr(pca, "fit_pca", no_nspace)
+    base = ["--input", str(path), "--scale", "unit-variance", "--out", str(tmp_path / "out")]
+    for response, p in (([], 6), (["--response", "y"], 5)):
+        for argv in (["pca", "--nd", "3"], ["rotate", "--nr", "3"],
+                     ["simpca", "--nr", "3", "--nd", "2", "--select", "backward"]):
+            qrs.clear()
+            svds.clear()
+            assert main(argv + base + response) == 0
+            assert qrs == [(200, 6)]
+            # every spectrum is that of the p x p factor, rank-cut with n
+            assert svds and set(svds) == {((p, p), 200)}
 
 
 def test_cli_rotate_has_no_format_flag(capsys):

@@ -442,12 +442,22 @@ def test_rotate_matches_cyclic_oracle():
     (dict(tol=math.inf), "rotation tol inf is not a finite number"),
     (dict(tol=-1e-8), "rotation tol -1e-08 is not a finite number"),
     (dict(tol="0"), "rotation tol '0' is not a finite number"),
+    (dict(kaiser="no"), "kaiser 'no' is not a bool"),
+    (dict(kaiser=None), "kaiser None is not a bool"),
 ])
 def test_rotate_settings_are_config_errors(setting, problem):
     # checked at entry, the seed too with one restart, which draws no start
     a = np.random.default_rng(0).standard_normal((6, 3))
     with pytest.raises(ConfigError, match=problem):
         rotate(a, RotationCriterion.varimax(), **setting)
+
+
+def test_rotate_takes_a_numpy_bool_for_kaiser():
+    a = np.random.default_rng(0).standard_normal((6, 3))
+    for kaiser in (True, False):
+        want = rotate(a, RotationCriterion.varimax(), kaiser=kaiser)
+        got = rotate(a, RotationCriterion.varimax(), kaiser=np.bool_(kaiser))
+        assert np.array_equal(got.b, want.b)
 
 
 def test_rotate_names_the_winning_restart():

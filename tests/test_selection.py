@@ -17,7 +17,7 @@ from simpca import (
 )
 from simpca import selection
 from simpca.core import r2_add_drop, r_squared, svd, vif
-from simpca.errors import EmptySupport, ExhaustedSchedule
+from simpca.errors import ConfigError, EmptySupport, ExhaustedSchedule
 from simpca.selection import (
     adaptive_threshold_support,
     backward_select,
@@ -283,16 +283,16 @@ def test_max_cardinality_must_be_a_positive_integer(cap, problem):
 
 
 def test_pipeline_max_cardinality_zero_is_a_config_error():
-    # not an EmptySupport (a NumericalError, exit 4): the fault is the config
+    # not an EmptySupport (a NumericalError, exit 4): the fault is the config,
+    # found when the strategy is built, before any data is read
     rng = np.random.default_rng(8)
     x = random_data(rng, n=20, p=8)
     for kind in ("forward", "stepwise"):
-        config = SimpcaPipelineConfig(
-            nd=1, nr=2, criterion=RotationCriterion.varimax(),
-            strategy=SelectionStrategy(kind=kind, alpha=0.9, max_cardinality=0),
-        )
         with pytest.raises(ValueError, match="max_cardinality 0"):
-            run_simpca(x, config)
+            run_simpca(x, SimpcaPipelineConfig(
+                nd=1, nr=2, criterion=RotationCriterion.varimax(),
+                strategy=SelectionStrategy(kind=kind, alpha=0.9, max_cardinality=0),
+            ))
 
 
 def test_backward_from_full_set():
@@ -383,6 +383,43 @@ def test_unknown_selection_kind_fails_at_construction():
     # before run_simpca spends a PCA and a rotation on the configuration
     with pytest.raises(ValueError, match="unknown selection strategy 'bogus'"):
         SelectionStrategy(kind="bogus")
+
+
+@pytest.mark.parametrize("fields, problem", [
+    (dict(kind="forward", alpha=1.5), r"alpha must be in \(0, 1\]"),
+    (dict(kind="backward", alpha=0.0), r"alpha must be in \(0, 1\]"),
+    (dict(kind="stepwise", alpha=-1.0), r"alpha must be in \(0, 1\]"),
+    (dict(kind="iterative-reverse-threshold", alpha=2.0), r"alpha must be in \(0, 1\]"),
+    (dict(kind="fixed-threshold", threshold=2.0), r"threshold must be in \[0, 1\]"),
+    (dict(kind="fixed-threshold", norm_m=3), "unsupported norm 3"),
+    (dict(kind="adaptive-threshold", t0=-1.0), "t0 and step must be positive"),
+    (dict(kind="adaptive-threshold", step=0.0), "t0 and step must be positive"),
+    (dict(kind="adaptive-threshold", norm_m=0), "unsupported norm 0"),
+    (dict(kind="stepwise", entry=1e-6, exit=1e-3), "entry must be >= exit"),
+    (dict(kind="forward", max_cardinality=0), "max_cardinality 0 is not at least 1"),
+    (dict(kind="stepwise", max_cardinality=2.5), "max_cardinality 2.5 is not an integer"),
+    # a value that is not a number is a config error too, not a TypeError
+    (dict(kind="forward", alpha="0.9"), r"alpha must be in \(0, 1\]"),
+    (dict(kind="fixed-threshold", threshold=None), r"threshold must be in \[0, 1\]"),
+    (dict(kind="adaptive-threshold", t0=None), "t0 and step must be positive"),
+    (dict(kind="stepwise", exit=None), "entry must be >= exit"),
+])
+def test_strategy_checks_the_fields_its_kind_reads_when_built(fields, problem):
+    with pytest.raises(ConfigError, match=problem):
+        SelectionStrategy(**fields)
+
+
+def test_strategy_ignores_the_fields_its_kind_does_not_read():
+    bad = dict(alpha=2.0, threshold=2.0, t0=-1.0, step=0.0, norm_m=3,
+               entry=0.0, exit=1.0, max_cardinality=0)
+    for kind, read in (("fixed-threshold", ("threshold", "norm_m")),
+                       ("adaptive-threshold", ("t0", "step", "norm_m")),
+                       ("iterative-reverse-threshold", ("alpha",)),
+                       ("forward", ("alpha", "max_cardinality")),
+                       ("backward", ("alpha",)),
+                       ("stepwise", ("alpha", "entry", "exit", "max_cardinality"))):
+        unread = {k: v for k, v in bad.items() if k not in read}
+        assert SelectionStrategy(kind, **unread).kind == kind
 
 
 def test_alpha_validation():

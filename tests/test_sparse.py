@@ -409,6 +409,9 @@ def test_pipeline_config_validation():
         with pytest.raises(ConfigError, match=problem):
             _pipeline_config(seed=seed)
     assert _pipeline_config(seed=np.int64(3)).seed == 3
+    # a numpy bool is a bool
+    config = _pipeline_config(kaiser=np.bool_(False), deflate=np.bool_(True))
+    assert (config.kaiser, config.deflate) == (False, True)
 
 
 @pytest.mark.parametrize("field, problem", [
@@ -423,6 +426,9 @@ def test_pipeline_config_validation():
     (dict(rotation_tol=-1e-8), "rotation tol -1e-08 is not a finite number"),
     (dict(rotation_tol=float("nan")), "rotation tol nan is not a finite number"),
     (dict(rotation_tol=None), "rotation tol None is not a finite number"),
+    (dict(kaiser="no"), "kaiser 'no' is not a bool"),
+    (dict(deflate="no"), "deflate 'no' is not a bool"),
+    (dict(deflate=0), "deflate 0 is not a bool"),
 ])
 def test_pipeline_config_rejects_each_bad_field_when_built(field, problem):
     with pytest.raises(ConfigError, match=problem):
