@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import core, pca, report, rotation, selection, sparse
-from .errors import ConfigError, ConstantData, DataError, NumericalError
+from .errors import ConfigError, ConstantData, DataError, NonFiniteInput, NumericalError
 
 
 def _common_data_args(p):
@@ -137,6 +137,9 @@ def _load(args):
         delimiter=args.delimiter,
     )
     x = core.center_scale(values, scaling=args.scale, column_names=names)
+    if resp is not None and not np.isfinite(resp).all():
+        # the response is column p of [X y]
+        raise NonFiniteInput(int(np.argmin(np.isfinite(resp))), x.p)
     # also true with no feature column; any variance left is centering's
     # round-off, which the library accepts but no analysis should report
     if np.all(values == values[0]):

@@ -100,7 +100,13 @@ def _rotated_components(f, n, config, deflated=False):
         )
         b = result.b
     scores = f @ b
-    ve = [vexp_of_component(f, scores[:, j]) for j in range(lam.size)]
+    ve = []
+    for t in scores.T:  # vexp_of_component(f, t), on the same operands
+        tt = t @ t
+        if tt == 0.0:
+            raise ZeroComponent()
+        xt = f.T @ t
+        ve.append(xt @ xt / tt)
     order = np.argsort(-np.asarray(ve), kind="stable")
     b, signs = fix_signs(b[:, order])
     return b, scores[:, order] * signs, lam**2, result

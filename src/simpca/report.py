@@ -41,10 +41,11 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
     labels) and the response column are excluded from the feature matrix.
     Rows with missing cells are rejected; imputation is not supported. A
     file without data rows, or with a row whose cell count differs from the
-    header's, is rejected too, and so is a delimiter of other than one
-    character (``ConfigError``). The file is read as UTF-8, and a leading
-    byte-order mark, as spreadsheet programs write, is skipped; a byte
-    that does not decode is ``NotUtf8``.
+    header's, is rejected too, and so are a delimiter of other than one
+    character and a column named as both the id column and the response
+    (``ConfigError``, before the file is read). The file is read as UTF-8,
+    and a leading byte-order mark, as spreadsheet programs write, is
+    skipped; a byte that does not decode is ``NotUtf8``.
 
     The header is read with the ``csv`` module and the body with one
     ``np.loadtxt`` call in C. A file loadtxt cannot read whole, or in which
@@ -57,6 +58,8 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
     """
     if delimiter is not None and len(delimiter) != 1:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
+    if id_column is not None and id_column == response_column:
+        raise ConfigError(f"column {id_column!r} cannot be both the id column and the response")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             sample = fh.read(4096)
@@ -67,8 +70,8 @@ def ingest_csv(path, response_column=None, id_column=None, delimiter=None):
             header = [h.strip() for h in header]
             named = [c for c in (id_column, response_column) if c is not None]
             block = ids = None
-            # a missing column, or one named twice, is the scan's to report
-            if header and set(named) <= set(header) and len(set(named)) == len(named):
+            # a missing column is the scan's to report
+            if header and set(named) <= set(header):
                 block, ids = _load_body(fh, delimiter, header, id_column)
             if block is None or block.shape[1] != len(header) or np.isnan(block).any():
                 fh.seek(0)

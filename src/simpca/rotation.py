@@ -21,7 +21,10 @@ Consecutive sweeps overlap. Row j meets its planes at levels j .. j + d - 1
 sweep and level l of the next share no row and run as one batch: after the
 first, a sweep costs d batches instead of 2d - 3. Each row is copied aside
 as it ends a sweep, so the trace, the convergence test and the result read
-the bits of sweeps run one after another.
+the bits of sweeps run one after another. Below the last level, a level
+ends one row of every lane, row j at level j + d - 1, and that copy is the
+strided slice of every d-th row from j; only the last level, which ends
+rows d - 2 and d - 1, copies by index.
 
 Restarts run together, as lanes of one sweep: the row blocks of all running
 restarts are stacked, and a level turns the planes of every lane at once.
@@ -35,6 +38,7 @@ Ferguson), so Orthomax presets are dispatched through kappa = c/p.
 """
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -108,9 +112,9 @@ def cf_value(b, kappa):
       + kappa * sum_j sum_{i != k} b_ij^2 b_kj^2
     """
     b2 = np.asarray(b, float) ** 2
-    b4 = np.sum(b2**2)
-    row = np.sum(np.sum(b2, axis=1) ** 2) - b4
-    col = np.sum(np.sum(b2, axis=0) ** 2) - b4
+    b4 = (b2**2).sum()
+    row = (b2.sum(axis=1) ** 2).sum() - b4
+    col = (b2.sum(axis=0) ** 2).sum() - b4
     return (1.0 - kappa) * row + kappa * col
 
 
@@ -159,9 +163,11 @@ def _batches(d, lanes, first, ahead):
     otherwise from the first level the previous call left to run. With
     ``ahead``, a level above lag = min(d, 2d - 3) also holds the next
     sweep's level that is lag lower. ``ends`` picks the rows that end this
-    sweep at that level, row j at level min(j + d - 1, 2d - 3), or None.
-    With no level of the next sweep in the call, every row is taken at the
-    last batch instead, as a full slice.
+    sweep at that level, row j at level min(j + d - 1, 2d - 3), or is None:
+    the basic slice of row j of every lane where one row per lane ends, so
+    that its copy is a strided one, and an index array at the last level,
+    where two do. With no level of the next sweep in the call, every row is
+    taken at the last batch instead, as a full slice.
     """
     levels = _levels(d, lanes)
     lag = min(d, 2 * d - 3)
@@ -173,7 +179,9 @@ def _batches(d, lanes, first, ahead):
         if overlap and level > lag:
             pairs = np.vstack([pairs, levels[level - lag - 1]])
         ending = [j for j in range(d) if min(j + d - 1, 2 * d - 3) == level]
-        if overlap and ending:
+        if overlap and len(ending) == 1:
+            ends = slice(ending[0], None, d)
+        elif overlap and ending:
             ends = (offsets + ending).ravel()
         batches.append((pairs, ends))
     if not overlap:
@@ -185,33 +193,38 @@ def _turn(rows, pairs, p, kappa):
     """Turn each plane of ``pairs``, an (m, 2) array of row pairs in which
     no row appears twice, to its optimal angle, in place.
 
-    The gathered (p + d, m, 2) block holds each plane's (u, v) side by
-    side, so its first p rows read as complex z = u + iv. A sign of zero
-    in the real part can differ from ``u + 1j*v``, but only in a zero
-    imaginary part of w = z^2, which the sums wash out: numpy's reductions
-    start from +0. Each plane's sum w and w . w come from one contiguous
-    w, and its angle from the scalar ``_plane_angle`` and ``math`` trig
-    (numpy's ``arctan2`` rounds differently); the planes with a nonzero
-    angle turn in one batched 2 x 2 product.
+    ``rows`` is stored column-major, so the take from ``rows.T`` copies
+    only the gathered entries. The gathered (p + d, m, 2) block holds each
+    plane's (u, v) side by side, so its first p rows read as complex
+    z = u + iv. A sign of zero in the real part can differ from
+    ``u + 1j*v``, but only in a zero imaginary part of w = z^2, which the
+    sums wash out: numpy's reductions start from +0. Each plane's sum w and
+    w . w come from one contiguous w, and its angle from the scalar
+    ``_plane_angle`` and ``math`` trig (numpy's ``arctan2`` rounds
+    differently); the planes with a nonzero angle turn in one batched 2 x 2
+    product, and the rest stay as they are, since a turn by the identity
+    can change the sign of a zero.
     """
     gathered = rows.T.take(pairs, axis=1)
     w = gathered[:p].view(complex)[..., 0].T.copy()
     np.square(w, out=w)
-    sums = w.sum(axis=1).tolist()
-    squares = np.matmul(w[:, None, :], w[:, :, None]).ravel().tolist()
-    turned, turns = [], []
-    for i, (s, sq) in enumerate(zip(sums, squares)):
-        theta = _plane_angle(s, sq, kappa)
-        if theta != 0.0:
-            ct, st = math.cos(theta), math.sin(theta)
-            turned.append(i)
-            turns += (ct, st, -st, ct)
-    if not turns:
-        return
+    thetas = list(map(
+        _plane_angle,
+        w.sum(axis=1).tolist(),
+        np.matmul(w[:, None, :], w[:, :, None]).ravel().tolist(),
+        itertools.repeat(kappa),
+    ))
     block = gathered.transpose(1, 2, 0)  # (m, 2, p + d)
-    if len(turned) < len(pairs):
-        pairs = pairs[turned]
-        block = block[turned]
+    if 0.0 in thetas:
+        turned = [i for i, theta in enumerate(thetas) if theta != 0.0]
+        if not turned:
+            return
+        pairs, block = pairs[turned], block[turned]
+        thetas = [thetas[i] for i in turned]
+    turns = []
+    for theta in thetas:
+        ct, st = math.cos(theta), math.sin(theta)
+        turns += (ct, st, -st, ct)
     rows[pairs] = np.array(turns).reshape(-1, 2, 2) @ block
 
 
@@ -252,7 +265,7 @@ def _trace_value(b, criterion, kappa):
         return cf_value(b, kappa)
     b2 = np.asarray(b, float) ** 2
     p = b2.shape[0]
-    return p * np.sum(b2**2) - criterion.param * np.sum(np.sum(b2, axis=0) ** 2)
+    return p * (b2**2).sum() - criterion.param * (b2.sum(axis=0) ** 2).sum()
 
 
 def _random_orthogonal(d, rng):
@@ -285,12 +298,13 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     cannot steer the rotation.
 
     Restart 0 starts from the identity and extra restarts from random
-    orthogonal matrices, all drawn up front from ``seed``; ``restarts`` must
-    be at least 1. The restarts run together as lanes of one sweep (see
+    orthogonal matrices, all drawn up front from ``seed`` (which is checked
+    with one restart too, although none is drawn); ``restarts`` must be at
+    least 1. The restarts run together as lanes of one sweep (see
     ``_sweep``), and a lane retires when it converges, so each restart gets
     the same bits as a rotation of its own, while a level's numpy calls are
     paid once for all running lanes: at 4 sweeps of a 48 x 16 matrix, 2
-    restarts cost about 1.5 times one and 8 restarts about 4.7 times. The
+    restarts cost about 1.5 times one and 8 restarts about 4.6 times. The
     best final criterion wins, ties broken by the lower restart index, and
     ``RotationResult.restart`` names the winner. The sweeps are a local
     search: with one restart, on input without a clear simple structure,
@@ -314,8 +328,10 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     kappa = criterion.kappa(p)
     minimize = criterion.family == "crawford-ferguson"
 
-    rng = np.random.default_rng(seed)
-    o_lanes = [np.eye(d)] + [_random_orthogonal(d, rng) for _ in range(restarts - 1)]
+    o_lanes = [np.eye(d)]
+    if restarts > 1:
+        rng = np.random.default_rng(seed)
+        o_lanes += [_random_orthogonal(d, rng) for _ in range(restarts - 1)]
     b_lanes = [work @ o for o in o_lanes]
     traces = [[_trace_value(b, criterion, kappa)] for b in b_lanes]
     converged = [False] * restarts
@@ -339,7 +355,8 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
                 break
             running = [running[lane] for lane in keep]
             idx = (d * np.array(keep)[:, None] + np.arange(d)).ravel()
-            rows, done = rows[idx], done[idx]
+            # kept column-major, as ``_turn`` gathers from it
+            rows, done = np.asfortranarray(rows[idx]), done[idx]
 
     best = 0
     for r in range(1, restarts):

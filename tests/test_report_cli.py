@@ -18,6 +18,7 @@ from simpca import (
 from simpca import core, pca, sparse
 from simpca.cli import main
 from simpca.errors import (
+    ConfigError,
     EmptyInput,
     MissingColumn,
     MissingValue,
@@ -769,6 +770,34 @@ def test_cli_malformed_csv_is_data_error(tmp_path, capsys):
             ingest_csv(path)
         assert main(["pca", "--input", path, "--scale", "none", "--nd", "1"]) == 3
         assert "data error" in capsys.readouterr().err
+
+
+def test_cli_non_finite_response_is_a_data_error(tmp_path, capsys):
+    # an infinite response would centre to NaN and print every R^2 as 0.000
+    for cell, row in (("inf", 2), ("-inf", 0), ("1e999", 4)):
+        values = ["1", "2", "3", "4", "5"]
+        values[row] = cell
+        rows = [f"{a},{b},{y}" for a, b, y in zip("31452", "25143", values)]
+        path = _write(tmp_path, "a,b,y\n" + "\n".join(rows) + "\n")
+        for argv in (["pca", "--nd", "1"], ["simpca", "--nr", "2", "--nd", "1"]):
+            code = main(argv + ["--input", path, "--scale", "none", "--response", "y"])
+            out = capsys.readouterr()
+            assert code == 3 and out.out == ""
+            assert f"data error: non-finite value at row {row}, column 2" in out.err
+
+
+def test_id_column_cannot_be_the_response(tmp_path, capsys):
+    # checked before the file is read: the path does not exist
+    with pytest.raises(ConfigError, match="'c' cannot be both the id column and the response"):
+        ingest_csv(str(tmp_path / "absent.csv"), response_column="c", id_column="c")
+    path = _write(tmp_path, "a,b,c\n1,2,3\n2,1,5\n4,4,4\n")
+    for argv in (["pca", "--nd", "1"], ["rotate", "--nr", "2"],
+                 ["simpca", "--nr", "2", "--nd", "1"]):
+        code = main(argv + ["--input", path, "--scale", "none", "--id-column", "c",
+                            "--response", "c"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "config error: column 'c' cannot be both" in out.err
 
 
 def test_cli_scale_required():

@@ -394,6 +394,20 @@ def sequential_rotate(a, criterion, kaiser, tol, max_sweeps, restarts, seed):
     return (b, o, np.asarray(trace), sweeps, converged, restart), runs
 
 
+def assert_rotate_matches_oracle(a, criterion, kaiser, tol, max_sweeps, restarts):
+    """``rotate`` gives the bits of ``sequential_rotate``; returns every
+    restart's (sweeps, converged)."""
+    got = rotate(a, criterion, kaiser=kaiser, tol=tol, max_sweeps=max_sweeps,
+                 restarts=restarts, seed=5)
+    want, runs = sequential_rotate(a, criterion, kaiser, tol, max_sweeps, restarts, seed=5)
+    assert_same_bits(got.b, want[0])
+    assert_same_bits(got.o, want[1])
+    assert_same_bits(got.criterion_trace, want[2])
+    assert (got.sweeps_used, got.converged) == want[3:5]
+    assert got.restart == want[5]
+    return runs
+
+
 def test_rotate_matches_cyclic_oracle():
     rng = np.random.default_rng(15)
     inputs = []
@@ -413,15 +427,8 @@ def test_rotate_matches_cyclic_oracle():
                 for restarts in (1, 2, 3, 5):
                     for tol, max_sweeps in ((1e-8, 1000), (1e-5, 6), (1e-3, 3), (0.0, 2),
                                             (0.0, 1)):
-                        got = rotate(a, criterion, kaiser=kaiser, tol=tol,
-                                     max_sweeps=max_sweeps, restarts=restarts, seed=5)
-                        want, runs = sequential_rotate(a, criterion, kaiser, tol,
-                                                       max_sweeps, restarts, seed=5)
-                        assert_same_bits(got.b, want[0])
-                        assert_same_bits(got.o, want[1])
-                        assert_same_bits(got.criterion_trace, want[2])
-                        assert (got.sweeps_used, got.converged) == want[3:5]
-                        assert got.restart == want[5]
+                        runs = assert_rotate_matches_oracle(a, criterion, kaiser, tol,
+                                                            max_sweeps, restarts)
                         ended = {sweeps for sweeps, converged in runs if converged}
                         staggered += len(ended) > 1
                         at_limit += any(not converged for _, converged in runs)
@@ -429,6 +436,17 @@ def test_rotate_matches_cyclic_oracle():
     # lanes retired at different sweeps, lanes ran to the limit, and both
     # happened within one call
     assert staggered > 20 and at_limit > 20 and mixed > 20
+    # the widths of the benchmark workloads, d = 8 and 16, at their fixed
+    # sweep counts
+    for p, d in ((40, 8), (48, 16)):
+        a = rng.standard_normal((p, d))
+        a[int(rng.integers(p))] = 0.0
+        for criterion in criteria:
+            for kaiser in (False, True):
+                for restarts in (1, 2):
+                    for max_sweeps in (3, 4):
+                        assert_rotate_matches_oracle(a, criterion, kaiser, 0.0, max_sweeps,
+                                                     restarts)
 
 
 @pytest.mark.parametrize("setting, problem", [
