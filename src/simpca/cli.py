@@ -15,7 +15,9 @@ read after it (``_load``).
 Exit codes: 0 success, 2 configuration error (``ConfigError``), 3 data
 error (``DataError``, ``OSError``), 4 numerical failure (``NumericalError``,
 numpy's ``LinAlgError``). A flag whose check needs no data is checked
-before the input is read.
+before the input is read. Every message names a bad cell by its data row,
+counted from 1, and its column's header, and a constant column by its
+header.
 """
 
 import argparse
@@ -24,7 +26,26 @@ import sys
 import numpy as np
 
 from . import core, pca, report, rotation, selection, sparse
-from .errors import ConfigError, ConstantData, DataError, NonFiniteInput, NumericalError
+from .errors import (ConfigError, ConstantData, DataError, NonFiniteInput, NumericalError,
+                     ZeroVarianceColumn)
+
+
+# the CLI's names of the library's coefficient scalings and selection
+# kinds, in the library's order (pca.SCALINGS, selection.KINDS)
+_COEF_SCALES = {
+    "l2": "unit-l2",
+    "normalized": "component-unit-norm",
+    "eigen-normalized": "inverse-eigenvalue",
+}
+
+_SELECT_KINDS = {
+    "threshold": "fixed-threshold",
+    "adaptive": "adaptive-threshold",
+    "iter-threshold": "iterative-reverse-threshold",
+    "forward": "forward",
+    "backward": "backward",
+    "stepwise": "stepwise",
+}
 
 
 def _common_data_args(p):
@@ -41,7 +62,7 @@ def _common_data_args(p):
 
 def _rotation_args(p):
     p.add_argument("--coef-scale", default="normalized",
-                   choices=["l2", "normalized", "eigen-normalized"],
+                   choices=list(_COEF_SCALES),
                    help="coefficient scaling before rotation: unit-L2 columns, "
                         "divided by the singular value, or divided by the "
                         "eigenvalue of X'X")
@@ -76,16 +97,13 @@ def build_parser():
     _common_data_args(p_run)
     _rotation_args(p_run)
     p_run.add_argument("--nd", type=int, required=True, help="components to output")
-    p_run.add_argument("--select", default="forward",
-                       choices=["threshold", "adaptive", "iter-threshold",
-                                "forward", "backward", "stepwise"])
+    p_run.add_argument("--select", default="forward", choices=list(_SELECT_KINDS))
     p_run.add_argument("--alpha", type=float, default=0.95)
     p_run.add_argument("--threshold", type=float, default=0.3)
     p_run.add_argument("--t0", type=float, default=0.25)
     p_run.add_argument("--step", type=float, default=0.05)
     p_run.add_argument("--norm", default="2", choices=["1", "2", "inf"])
-    p_run.add_argument("--method", default="pspca",
-                       choices=["pspca", "cspca", "uspca", "plain"])
+    p_run.add_argument("--method", default="pspca", choices=sparse.METHODS)
     deflate = p_run.add_mutually_exclusive_group()
     deflate.add_argument("--deflate", dest="deflate", action="store_true")
     deflate.add_argument("--no-deflate", dest="deflate", action="store_false")
@@ -94,22 +112,6 @@ def build_parser():
     for p in (p_pca, p_run):
         p.add_argument("--format", default="tsv", choices=["tsv", "json"])
     return parser
-
-
-_COEF_SCALES = {
-    "l2": "unit-l2",
-    "normalized": "component-unit-norm",
-    "eigen-normalized": "inverse-eigenvalue",
-}
-
-_SELECT_KINDS = {
-    "threshold": "fixed-threshold",
-    "adaptive": "adaptive-threshold",
-    "iter-threshold": "iterative-reverse-threshold",
-    "forward": "forward",
-    "backward": "backward",
-    "stepwise": "stepwise",
-}
 
 
 def _criterion_from_args(args):
@@ -136,10 +138,15 @@ def _load(args):
         id_column=args.id_column,
         delimiter=args.delimiter,
     )
-    x = core.center_scale(values, scaling=args.scale, column_names=names)
+    # named as the CSV reader names a bad cell: 1-based row, header
+    try:
+        x = core.center_scale(values, scaling=args.scale, column_names=names)
+    except NonFiniteInput as exc:
+        raise NonFiniteInput(exc.row + 1, names[exc.col]) from None
+    except ZeroVarianceColumn as exc:
+        raise ZeroVarianceColumn(names[exc.index]) from None
     if resp is not None and not np.isfinite(resp).all():
-        # the response is column p of [X y]
-        raise NonFiniteInput(int(np.argmin(np.isfinite(resp))), x.p)
+        raise NonFiniteInput(int(np.argmin(np.isfinite(resp))) + 1, args.response)
     # also true with no feature column; any variance left is centering's
     # round-off, which the library accepts but no analysis should report
     if np.all(values == values[0]):

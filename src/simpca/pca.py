@@ -79,10 +79,12 @@ def _rotated_components(f, n, config, deflated=False):
     (``_leading``): d = nr, so nr above the rank raises
     ``RankExceeded``, or on a ``deflated`` factor as many as its smaller
     rank allows, up to nr. Their coefficients are rescaled by
-    ``config.coefficient_scaling`` and, for d >= 2, rotated. Returns (B,
-    the F-space scores F B, the vexp of the d principal components, and the
-    ``RotationResult`` or None for d = 1); the columns of B and of the
-    scores are ordered by descending variance explained, signs fixed.
+    ``config.coefficient_scaling`` and, for d >= 2, rotated by
+    ``config.criterion`` as it is, also when d < nr (an equamax criterion
+    keeps the c of nr). Returns (B, the F-space scores F B, the vexp of
+    the d principal components, and the ``RotationResult`` or None for
+    d = 1); the columns of B and of the scores are ordered by descending
+    variance explained (``vexp_of_component`` of the block), signs fixed.
     """
     s, v = core.svd(f, n)
     lam, v = _leading(s, v, max(1, min(config.nr, s.size)) if deflated else config.nr)
@@ -100,14 +102,7 @@ def _rotated_components(f, n, config, deflated=False):
         )
         b = result.b
     scores = f @ b
-    ve = []
-    for t in scores.T:  # vexp_of_component(f, t), on the same operands
-        tt = t @ t
-        if tt == 0.0:
-            raise ZeroComponent()
-        xt = f.T @ t
-        ve.append(xt @ xt / tt)
-    order = np.argsort(-np.asarray(ve), kind="stable")
+    order = np.argsort(-vexp_of_component(f, scores), kind="stable")
     b, signs = fix_signs(b[:, order])
     return b, scores[:, order] * signs, lam**2, result
 
@@ -116,14 +111,21 @@ def vexp_of_component(x, t):
     """Variance of X explained by the span of the score vector t.
 
     ||t (t't)^-1 t' X||^2 = ||X't||^2 / t't; invariant to rescaling t.
+    ``t`` is a score vector, for which this returns a float, or a block
+    with one score column per component, for which it returns an array of
+    each column's value alone, computed as for that column's vector. A
+    zero score vector is ``ZeroComponent``.
     """
     values = np.asarray(x, float)
     t = np.asarray(t, float)
-    tt = float(t @ t)
-    if tt == 0.0:
-        raise ZeroComponent()
-    xt = values.T @ t
-    return float(xt @ xt) / tt
+    ve = []
+    for c in (t[:, None] if t.ndim == 1 else t).T:
+        tt = float(c @ c)
+        if tt == 0.0:
+            raise ZeroComponent()
+        xt = values.T @ c
+        ve.append(float(xt @ xt) / tt)
+    return ve[0] if t.ndim == 1 else np.array(ve)
 
 
 def deflate(x, t):

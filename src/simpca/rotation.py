@@ -83,6 +83,9 @@ class RotationCriterion:
 
     @classmethod
     def equamax(cls, d):
+        """Orthomax with c = d / 2 for d rotated columns. c is fixed here:
+        the pipeline builds the criterion once, from nr, and a deflated
+        step that rotates fewer than nr columns keeps c = nr / 2."""
         return cls("orthomax", d / 2.0)
 
     @classmethod

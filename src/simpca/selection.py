@@ -138,12 +138,16 @@ class SupportSet:
         return len(self.indices)
 
 
+KINDS = ("fixed-threshold", "adaptive-threshold", "iterative-reverse-threshold", "forward",
+         "backward", "stepwise")
+
+
 @dataclass(frozen=True)
 class SelectionStrategy:
     """Configuration record dispatched by ``select_support``.
 
-    kind: 'fixed-threshold', 'adaptive-threshold',
-    'iterative-reverse-threshold', 'forward', 'backward', 'stepwise'.
+    kind: one of KINDS ('fixed-threshold', 'adaptive-threshold',
+    'iterative-reverse-threshold', 'forward', 'backward', 'stepwise').
     Each field the kind reads is checked when the record is built, with
     the check of the function that reads it (``ConfigError``); the others
     are ignored.
@@ -160,9 +164,7 @@ class SelectionStrategy:
     max_cardinality: int = None
 
     def __post_init__(self):
-        if self.kind not in ("fixed-threshold", "adaptive-threshold",
-                             "iterative-reverse-threshold", "forward", "backward",
-                             "stepwise"):
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown selection strategy {self.kind!r}")
         if self.kind == "fixed-threshold":
             _check_threshold(self.threshold)

@@ -55,8 +55,14 @@ class SparseComponent:
     contributions: np.ndarray
 
 
+METHODS = ("pspca", "cspca", "uspca", "plain")
+
+
 @dataclass(frozen=True)
 class SimpcaPipelineConfig:
+    """Settings of ``run_simpca``; ``method``, the sparsifier of every
+    step, is one of METHODS."""
+
     nd: int
     nr: int
     strategy: selection.SelectionStrategy
@@ -83,7 +89,7 @@ class SimpcaPipelineConfig:
         rotation._check_settings(self.rotation_tol, self.max_sweeps, self.restarts, self.seed,
                                  self.kaiser)
         core._check_bool(self.deflate, "deflate")
-        if self.method not in ("pspca", "cspca", "uspca", "plain"):
+        if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
 
 

@@ -1,11 +1,23 @@
+import importlib.util
 import os
 import signal
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from simpca import center_scale
+
+# Hypothesis imports libcst, when it is installed, to suggest a patch for a
+# failing example, and a module libcst imports warns DeprecationWarning when
+# it is first imported: under -W error that ends the session inside the
+# plugin before the example is printed. Importing it once here, with that
+# warning ignored, leaves the plugin's later import nothing to warn about.
+if importlib.util.find_spec("libcst") is not None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        importlib.import_module("hypothesis.extra._patching")
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 EUROJOBS = os.path.join(DATA_DIR, "eurojobs.csv")

@@ -24,19 +24,11 @@ from simpca import (
 )
 from simpca.errors import RankExceeded, SimpcaError
 from simpca.report import ingest_csv
-from simpca.sparse import PipelineResult, _sparsify
+from simpca.selection import KINDS
+from simpca.sparse import METHODS, PipelineResult, _sparsify
 
 from conftest import EUROJOBS
 
-KINDS = (
-    "fixed-threshold",
-    "adaptive-threshold",
-    "iterative-reverse-threshold",
-    "forward",
-    "backward",
-    "stepwise",
-)
-METHODS = ("pspca", "cspca", "uspca", "plain")
 RTOL = 1e-9
 
 

@@ -96,6 +96,22 @@ def test_vexp_of_component_definition_and_invariance():
         vexp_of_component(x, np.zeros(x.n))
 
 
+def test_vexp_of_a_score_block_is_that_of_each_column_bit_for_bit():
+    # factors of the shapes the pipeline scores its rotated components on:
+    # 40 x 40 with 8 components and 48 x 48 with 16
+    rng = np.random.default_rng(23)
+    for n, p, m in ((200, 40, 8), (400, 48, 16)):
+        f = np.linalg.qr(random_data(rng, n=n, p=p).values, mode="r")
+        scores = f @ rng.standard_normal((p, m))
+        got = vexp_of_component(f, scores)
+        assert got.shape == (m,)
+        assert np.array_equal(got, [vexp_of_component(f, t) for t in scores.T])
+        assert isinstance(vexp_of_component(f, scores[:, 0]), float)
+        scores[:, m // 2] = 0.0
+        with pytest.raises(ZeroComponent):
+            vexp_of_component(f, scores)
+
+
 def test_vexp_of_pc_score_matches_model():
     rng = np.random.default_rng(4)
     x = random_data(rng, n=20, p=6)

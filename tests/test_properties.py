@@ -28,17 +28,9 @@ from simpca import (
 from simpca.core import svd
 from simpca.errors import SimpcaError, ZeroVarianceColumn
 from simpca.pca import deflate
-from simpca.selection import SupportSet
+from simpca.selection import KINDS, SupportSet
+from simpca.sparse import METHODS
 
-KINDS = (
-    "fixed-threshold",
-    "adaptive-threshold",
-    "iterative-reverse-threshold",
-    "forward",
-    "backward",
-    "stepwise",
-)
-METHODS = ("pspca", "cspca", "uspca", "plain")
 # max|Q'T| / (||Q|| ||T||) after deflating X against the accepted scores T
 DEFLATION_TOL = 1e-10
 ALL_EXPLAINED = 1e-12

@@ -15,7 +15,7 @@ from simpca import (
     ingest_csv,
     run_simpca,
 )
-from simpca import core, pca, sparse
+from simpca import cli, core, pca, selection, sparse
 from simpca.cli import main
 from simpca.errors import (
     ConfigError,
@@ -552,7 +552,7 @@ def test_cli_data_without_variation_is_a_data_error(tmp_path, capsys):
     # unit-variance scaling names the first constant column, as before
     assert main(["pca", "--input", _write(tmp_path, "a,b\n1,5\n1,5\n"), "--scale",
                  "unit-variance", "--nd", "0"]) == 4
-    assert "column 0 has zero variance" in capsys.readouterr().err
+    assert "column a has zero variance" in capsys.readouterr().err
 
 
 def test_cli_reads_a_byte_order_mark(tmp_path, capsys):
@@ -606,11 +606,12 @@ def test_cli_rotate_prints_the_pipeline_components(scale, tmp_path):
     # deflation component j is the pipeline's j-th rotated component
     names, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
     x = center_scale(values, scale, names)
-    criteria = [(["--criterion", "varimax"], RotationCriterion.varimax()),
-                (["--criterion", "quartimax"], RotationCriterion.quartimax()),
-                (["--criterion", "cf", "--kappa", "0.5"],
-                 RotationCriterion.crawford_ferguson(0.5))]
     for nr in range(2, 10):
+        criteria = [(["--criterion", "varimax"], RotationCriterion.varimax()),
+                    (["--criterion", "quartimax"], RotationCriterion.quartimax()),
+                    (["--criterion", "equamax"], RotationCriterion.equamax(nr)),
+                    (["--criterion", "cf", "--kappa", "0.5"],
+                     RotationCriterion.crawford_ferguson(0.5))]
         for flags, criterion in criteria:
             for kaiser in (False, True):
                 argv = ["--scale", scale, "--nr", str(nr), *flags]
@@ -783,7 +784,28 @@ def test_cli_non_finite_response_is_a_data_error(tmp_path, capsys):
             code = main(argv + ["--input", path, "--scale", "none", "--response", "y"])
             out = capsys.readouterr()
             assert code == 3 and out.out == ""
-            assert f"data error: non-finite value at row {row}, column 2" in out.err
+            assert f"data error: non-finite value at row {row + 1}, column y" in out.err
+
+
+def test_cli_names_a_bad_feature_cell_by_data_row_and_header(tmp_path, capsys):
+    # every message numbers data rows from 1 and names the column by its
+    # header, as the CSV reader's missing-value message does
+    cases = [("inf", "none", "non-finite value at row 2, column b"),
+             ("-1e999", "unit-variance", "non-finite value at row 2, column b"),
+             ("", "none", "missing value at row 2, column b")]
+    for cell, scale, message in cases:
+        rows = [f"{a},{b},{y}" for a, b, y in zip("31452", ["2", cell, "1", "4", "3"], "12345")]
+        path = _write(tmp_path, "a,b,y\n" + "\n".join(rows) + "\n")
+        for argv in (["pca", "--nd", "1"], ["simpca", "--nr", "2", "--nd", "1"]):
+            assert main(argv + ["--input", path, "--scale", scale, "--response", "y"]) == 3
+            out = capsys.readouterr()
+            assert out.out == "" and f"data error: {message}" in out.err
+    # a constant feature column under unit-variance scaling, after a varying one
+    rows = "".join(f"{a},7,{y}\n" for a, y in zip("31452", "12345"))
+    path = _write(tmp_path, "a,b,y\n" + rows)
+    assert main(["pca", "--input", path, "--scale", "unit-variance", "--response", "y",
+                 "--nd", "1"]) == 4
+    assert "numerical failure: column b has zero variance" in capsys.readouterr().err
 
 
 def test_id_column_cannot_be_the_response(tmp_path, capsys):
@@ -798,6 +820,12 @@ def test_id_column_cannot_be_the_response(tmp_path, capsys):
         out = capsys.readouterr()
         assert code == 2 and out.out == ""
         assert "config error: column 'c' cannot be both" in out.err
+
+
+def test_cli_names_translate_to_the_library_lists_in_order():
+    # the parser takes its --coef-scale and --select choices from these keys
+    assert tuple(cli._COEF_SCALES.values()) == pca.SCALINGS
+    assert tuple(cli._SELECT_KINDS.values()) == selection.KINDS
 
 
 def test_cli_scale_required():

@@ -836,6 +836,36 @@ def test_carried_selection_exact_ties_match_per_step_loops():
     assert forward_select(dup, y2, 0.99).indices[0] == 7
 
 
+def test_step_after_a_carried_removal_rescores_its_r2(monkeypatch):
+    # integer data found by an exact rational search: stepwise carries the
+    # removal of column 4 at the fifth step, and the addition after it gains
+    # exactly `entry`, so that retaken addition compares with r2 + entry and
+    # needs the bits a fresh SVD gives the removal's R^2; rescaled and
+    # row-permuted copies move the rounding to either side of the tie
+    x = np.array([[1, 2, 1, 1, 1], [-1, -2, -1, 2, 2], [1, 2, 1, -2, -2],
+                  [-2, 1, 1, 0, -1], [1, 2, 0, 2, 1], [2, 2, -2, 2, -2]], float)
+    y = np.array([-2, 0, 0, -1, 1, 3], float)
+    entry = exit = 299209 / 37754235
+    rescored = []
+    refreshed = selection._Fit._refreshed
+
+    def counted(fit, best, stops):
+        after_removal = fit._prev is not None and fit._prev[0] == "-"
+        best = refreshed(fit, best, stops)
+        rescored.append(after_removal and fit._prev is None)
+        return best
+
+    monkeypatch.setattr(selection._Fit, "_refreshed", counted)
+    steps = set()
+    for scale in (1.0, 0.1, 0.3, 3.0, 5.0, 7.0):
+        for rows in (range(6), [5, 4, 3, 2, 1, 0], [1, 0, 3, 2, 5, 4]):
+            _assert_same_as_loops(scale * x[rows], y[rows], 1.0, entry, exit)
+            steps.add(len(stepwise_select(scale * x[rows], y[rows], 1.0, entry, exit).trace))
+    # every stepwise run rescored once, and the tie fell to both sides
+    assert sum(rescored) == 36
+    assert steps == {5, 7}
+
+
 def test_backward_matches_per_step_loop_on_factor_data():
     rng = np.random.default_rng(17)
     with _counting_downdates() as downdates:

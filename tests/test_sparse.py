@@ -20,7 +20,7 @@ from simpca import (
     run_simpca,
     uspca_component,
 )
-from simpca import cli, pca
+from simpca import pca, rotation
 from simpca.core import _ls_svd, r_squared
 from simpca.errors import ConfigError, EmptySupport, RankExceeded, SingularSubset, ZeroTarget
 from simpca.pca import deflate, vexp_of_component
@@ -438,7 +438,24 @@ def test_pipeline_config_rejects_each_bad_field_when_built(field, problem):
 def test_pipeline_config_scalings_are_those_of_rescale_coefficients():
     for scaling in pca.SCALINGS:
         assert _pipeline_config(coefficient_scaling=scaling).coefficient_scaling == scaling
-    assert sorted(cli._COEF_SCALES.values()) == sorted(pca.SCALINGS)
+
+
+def test_equamax_keeps_the_c_of_nr_on_steps_that_rotate_fewer_columns(monkeypatch):
+    # the criterion is built once, from nr, and a deflated step rotates as
+    # many components as its rank allows: on eurojobs (rank 9) the three
+    # steps rotate 9, 8 and 7 columns, each with c = 9 / 2
+    names, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
+    x = center_scale(values, "unit-variance", names)
+    rotated = []
+    rotate = rotation.rotate
+
+    def recorded(b, criterion, **settings):
+        rotated.append((b.shape[1], criterion))
+        return rotate(b, criterion, **settings)
+
+    monkeypatch.setattr(rotation, "rotate", recorded)
+    run_simpca(x, _pipeline_config(nd=3, nr=9, criterion=RotationCriterion.equamax(9)))
+    assert rotated == [(d, RotationCriterion("orthomax", 4.5)) for d in (9, 8, 7)]
 
 
 def test_pipeline_config_defaults_to_varimax():
