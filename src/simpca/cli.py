@@ -30,8 +30,9 @@ from .errors import (ConfigError, ConstantData, DataError, NonFiniteInput, Numer
                      ZeroVarianceColumn)
 
 
-# the CLI's names of the library's coefficient scalings and selection
-# kinds, in the library's order (pca.SCALINGS, selection.KINDS)
+# the CLI's names of the library's coefficient scalings, selection kinds
+# and norms, in the library's order (pca.SCALINGS, selection.KINDS,
+# selection.NORMS); --criterion takes rotation.PRESETS' names and cf
 _COEF_SCALES = {
     "l2": "unit-l2",
     "normalized": "component-unit-norm",
@@ -46,6 +47,8 @@ _SELECT_KINDS = {
     "backward": "backward",
     "stepwise": "stepwise",
 }
+
+_NORMS = {str(m): m for m in selection.NORMS}
 
 
 def _common_data_args(p):
@@ -67,7 +70,7 @@ def _rotation_args(p):
                         "divided by the singular value, or divided by the "
                         "eigenvalue of X'X")
     p.add_argument("--criterion", default="varimax",
-                   choices=["varimax", "quartimax", "equamax", "cf"])
+                   choices=[*rotation.PRESETS, "cf"])
     p.add_argument("--kappa", type=float, default=None,
                    help="Crawford-Ferguson kappa (only with --criterion cf)")
     p.add_argument("--kaiser", action="store_true",
@@ -102,7 +105,7 @@ def build_parser():
     p_run.add_argument("--threshold", type=float, default=0.3)
     p_run.add_argument("--t0", type=float, default=0.25)
     p_run.add_argument("--step", type=float, default=0.05)
-    p_run.add_argument("--norm", default="2", choices=["1", "2", "inf"])
+    p_run.add_argument("--norm", default="2", choices=list(_NORMS))
     p_run.add_argument("--method", default="pspca", choices=sparse.METHODS)
     deflate = p_run.add_mutually_exclusive_group()
     deflate.add_argument("--deflate", dest="deflate", action="store_true")
@@ -121,11 +124,7 @@ def _criterion_from_args(args):
         return rotation.RotationCriterion.crawford_ferguson(args.kappa)
     if args.kappa is not None:
         raise ConfigError("--kappa only applies to --criterion cf")
-    if args.criterion == "varimax":
-        return rotation.RotationCriterion.varimax()
-    if args.criterion == "quartimax":
-        return rotation.RotationCriterion.quartimax()
-    return rotation.RotationCriterion.equamax(args.nr)
+    return rotation.PRESETS[args.criterion](args.nr)
 
 
 def _load(args):
@@ -219,11 +218,12 @@ def _cmd_simpca(args):
         threshold=args.threshold,
         t0=args.t0,
         step=args.step,
-        norm_m=np.inf if args.norm == "inf" else int(args.norm),
+        norm_m=_NORMS[args.norm],
     )
     config = _config(args, args.nd, strategy, method=args.method, deflate=args.deflate)
     x, r = _load(args)
-    result = sparse._run(r[:x.p, :x.p], x.n, config)
+    f = r[:x.p, :x.p]
+    result = sparse._run(f, x.n, config, pca._rotated_components(f, x.n, config)[:3])
     rep = report.build_report(x, result, _echo(args), r)
     _write(report.emit(rep, args.format), args)
 

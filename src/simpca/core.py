@@ -3,7 +3,8 @@
 Centering/scaling of raw observation matrices, SVD with numerical rank
 control, the one least-squares kernel behind every fit, R^2, deflation and
 null space (``_ls_svd``), add-one/drop-one R^2 and variance inflation.
-Everything here is a pure function of immutable inputs.
+Everything here is a pure function of immutable inputs; a DataMatrix
+keeps, on first use, the factor and spectrum its pipelines share.
 """
 
 import operator
@@ -42,6 +43,14 @@ def _check_finite(values):
         raise NonFiniteInput(int(row), int(col))
 
 
+def _read_only(value):
+    """value, an array or a tuple, with each array in it made read-only."""
+    for a in value if isinstance(value, tuple) else (value,):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return value
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """Centered (optionally unit-variance scaled) n x p observation matrix.
@@ -49,10 +58,48 @@ class DataMatrix:
     With ``center_scale(..., scaling='unit-variance')`` columns are divided
     by the sample standard deviation (denominator n - 1), so every column
     has sum of squares n - 1.
+
+    ``values`` is read-only. ``center_scale`` hands over the one array it
+    made; built around an array that is writeable or a view of another, a
+    DataMatrix keeps a read-only copy, so no later write reaches it. What
+    every pipeline on the data starts from is therefore computed once, on
+    first use, and kept read-only on the instance: the triangular factor F
+    of X = QF (``_factor``), F's rank-cut spectrum (``_spectrum``) and the
+    step-1 rotated components of the latest rotation setting
+    (``pca._first_step``). The cache is not a field, so eq, repr,
+    ``fields()``, ``asdict`` and ``replace`` do not see it.
     """
 
     values: np.ndarray
     column_names: tuple
+
+    def __post_init__(self):
+        values = self.values
+        if not isinstance(values, np.ndarray) or values.flags.writeable or values.base is not None:
+            values = _read_only(np.array(values))
+            object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_cache", {})
+
+    def __reduce__(self):
+        # a copy or an unpickled instance is built anew, with its own cache
+        return DataMatrix, (self.values, self.column_names)
+
+    def _memo(self, name, key, compute):
+        """compute(), kept read-only on this instance under name while key
+        stays the same: one slot per name, which a new key replaces."""
+        hit = self._cache.get(name)
+        if hit is None or hit[0] != key:
+            hit = self._cache[name] = key, _read_only(compute())
+        return hit[1]
+
+    def _factor(self):
+        """The triangular factor F of X = QF (p x p, or n x p when n < p)."""
+        return self._memo("factor", None,
+                          lambda: np.linalg.qr(np.asarray(self.values, float), mode="r"))
+
+    def _spectrum(self):
+        """``svd(F, n)``: the rank-cut singular values and vectors of X."""
+        return self._memo("spectrum", None, lambda: svd(self._factor(), self.n))
 
     @property
     def n(self):
@@ -107,7 +154,8 @@ def center_scale(raw, scaling="none", column_names=None):
         if zero.size:
             raise ZeroVarianceColumn(int(zero[0]))
         centered /= sd
-    return DataMatrix(values=centered, column_names=column_names)
+    # nothing else holds centered, so the DataMatrix keeps it without a copy
+    return DataMatrix(values=_read_only(centered), column_names=column_names)
 
 
 def svd(x, n=None):

@@ -61,24 +61,38 @@ def fit_pca(x, d=None):
 
     The spectrum is that of the triangular factor F of X = QF, rank-cut
     with X's n (``core.svd``); only the scores X V are formed in n-space.
-    The CLI's ``pca`` command reads the same spectrum off its own factor
-    (``report.pca_report``) and never calls this.
+    A DataMatrix computes its factor and spectrum once and keeps them, so
+    every fit and pipeline on it reads the same ones; an array takes its
+    own QR and SVD per call. The CLI's ``pca`` command reads the same
+    spectrum off its own factor (``report.pca_report``) and never calls
+    this.
     """
     values = np.asarray(x, float)
-    s, v = core.svd(np.linalg.qr(values, mode="r"), values.shape[0])
+    if isinstance(x, core.DataMatrix):
+        s, v = x._spectrum()
+    else:
+        s, v = core.svd(np.linalg.qr(values, mode="r"), values.shape[0])
     lam, v = _leading(s, v, d)
     return PcaModel(v=v, lam=lam, scores=values @ v, vexp=lam**2)
 
 
-def _rotated_components(f, n, config, deflated=False):
+def _rotation_setting(config):
+    """Every field of a pipeline config that ``_rotated_components`` reads,
+    which reads them from here: the key of the step 1 a DataMatrix keeps
+    (``_first_step``)."""
+    return (config.nr, config.coefficient_scaling, config.criterion, config.kaiser,
+            config.rotation_tol, config.max_sweeps, config.restarts, config.seed)
+
+
+def _rotated_components(f, n, config, deflated=False, spectrum=None):
     """The rotated components of the n x p data that the factor f stands
     for: what ``rotate`` prints and each pipeline step starts from.
 
-    One ``core.svd(f, n)`` gives the data's numerical rank, cut at
-    max(n, p) * eps * lambda_1, and its first d principal components
-    (``_leading``): d = nr, so nr above the rank raises
-    ``RankExceeded``, or on a ``deflated`` factor as many as its smaller
-    rank allows, up to nr. Their coefficients are rescaled by
+    One ``core.svd(f, n)``, or the ``spectrum`` it would give, gives the
+    data's numerical rank, cut at max(n, p) * eps * lambda_1, and its
+    first d principal components (``_leading``): d = nr, so nr above the
+    rank raises ``RankExceeded``, or on a ``deflated`` factor as many as
+    its smaller rank allows, up to nr. Their coefficients are rescaled by
     ``config.coefficient_scaling`` and, for d >= 2, rotated by
     ``config.criterion`` as it is, also when d < nr (an equamax criterion
     keeps the c of nr). Returns (B, the F-space scores F B, the vexp of
@@ -86,25 +100,27 @@ def _rotated_components(f, n, config, deflated=False):
     d = 1); the columns of B and of the scores are ordered by descending
     variance explained (``vexp_of_component`` of the block), signs fixed.
     """
-    s, v = core.svd(f, n)
-    lam, v = _leading(s, v, max(1, min(config.nr, s.size)) if deflated else config.nr)
-    b = rescale_coefficients(v, config.coefficient_scaling, lam=lam)
+    nr, scaling, criterion, kaiser, tol, max_sweeps, restarts, seed = _rotation_setting(config)
+    s, v = core.svd(f, n) if spectrum is None else spectrum
+    lam, v = _leading(s, v, max(1, min(nr, s.size)) if deflated else nr)
+    b = rescale_coefficients(v, scaling, lam=lam)
     result = None
     if lam.size >= 2:
-        result = rotation.rotate(
-            b,
-            config.criterion,
-            kaiser=config.kaiser,
-            tol=config.rotation_tol,
-            max_sweeps=config.max_sweeps,
-            restarts=config.restarts,
-            seed=config.seed,
-        )
+        result = rotation.rotate(b, criterion, kaiser=kaiser, tol=tol, max_sweeps=max_sweeps,
+                                 restarts=restarts, seed=seed)
         b = result.b
     scores = f @ b
     order = np.argsort(-vexp_of_component(f, scores), kind="stable")
     b, signs = fix_signs(b[:, order])
     return b, scores[:, order] * signs, lam**2, result
+
+
+def _first_step(x, config):
+    """Step 1 of every pipeline on the DataMatrix x: (B, F B, the pca
+    vexp) of ``_rotated_components`` on x's kept factor and spectrum, kept
+    on x, read-only, for the latest rotation setting."""
+    return x._memo("first step", _rotation_setting(config), lambda: _rotated_components(
+        x._factor(), x.n, config, spectrum=x._spectrum())[:3])
 
 
 def vexp_of_component(x, t):

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -274,6 +274,14 @@ def report_from_json(payload):
     return AnalysisReport(**{k: _thaw(v) for k, v in data.items()})
 
 
+def _fields(obj):
+    """A report dataclass as the dict of its fields, in order, read in
+    place; any other type is json's own ``TypeError``."""
+    if isinstance(obj, (AnalysisReport, ComponentSummary)):
+        return vars(obj)
+    return json.JSONEncoder().default(obj)
+
+
 def emit(report, fmt="tsv"):
     """Serialize a report: 'json' is lossless, 'tsv' mirrors the table
     presentation (whole-percent contributions, one decimal for vexp)."""
@@ -281,7 +289,7 @@ def emit(report, fmt="tsv"):
         # the dataclasses are the schema: their fields, in order. A report
         # holds Python scalars, tuples and dicts (np.float64 is a float); a
         # config echo of other types is the caller's to convert
-        return (json.dumps(asdict(report), indent=2) + "\n").encode()
+        return (json.dumps(report, indent=2, default=_fields) + "\n").encode()
     if fmt != "tsv":
         raise ConfigError(f"unknown format {fmt!r}")
 

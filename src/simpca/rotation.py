@@ -93,6 +93,16 @@ class RotationCriterion:
         return cls("crawford-ferguson", kappa)
 
 
+# The named criteria that need no parameter but the number d of rotated
+# columns (which only equamax reads), in the CLI's order: name -> constructor
+# of d. Crawford-Ferguson takes its kappa instead.
+PRESETS = {
+    "varimax": lambda d: RotationCriterion.varimax(),
+    "quartimax": lambda d: RotationCriterion.quartimax(),
+    "equamax": RotationCriterion.equamax,
+}
+
+
 @dataclass(frozen=True)
 class RotationResult:
     """The winning restart's rotation; ``restart`` is its index, 0 for the

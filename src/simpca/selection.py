@@ -181,7 +181,7 @@ class SelectionStrategy:
 
 
 def rescale_to_unit_norm(coefficients, norm_m=2):
-    """Rescale a coefficient vector to unit L_m norm (m in {1, 2, np.inf})."""
+    """Rescale a coefficient vector to unit L_m norm (m one of NORMS)."""
     a = np.asarray(coefficients, float)
     _check_norm(norm_m)
     if norm_m == np.inf:
@@ -279,8 +279,12 @@ def _check_alpha(alpha):
         raise ConfigError("alpha must be in (0, 1]")
 
 
+# the L_m norms a threshold rescales its coefficients to
+NORMS = (1, 2, np.inf)
+
+
 def _check_norm(norm_m):
-    if norm_m not in (1, 2, np.inf):
+    if norm_m not in NORMS:
         raise ConfigError(f"unsupported norm {norm_m!r}")
 
 

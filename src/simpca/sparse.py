@@ -18,9 +18,11 @@ the triangular factor F of X = Q_x F (p x p, or n x p when n < p), for
 which ||Fu|| = ||Xu||, as Chan's R-SVD (TOMS 1982) does for the SVD: the
 SVDs, rotations, selections, sparsifiers and deflations all see F.
 Deflating F against the F-space scores F W gives the factor of X deflated
-against X W, with the same Q_x. ``_run`` takes F and n, which is how the
-CLI runs it; ``run_simpca`` takes X, does the one QR, and forms only the
-final scores X W in n-space.
+against X W, with the same Q_x. ``_run`` takes F, n and the step-1
+components, which is how the CLI runs it; ``run_simpca`` takes X and forms
+only the final scores X W in n-space. On a DataMatrix the one QR, the
+spectrum of F and step 1 are taken once and kept, so every pipeline on it
+shares them; an array takes its own per call.
 """
 
 from dataclasses import dataclass, replace
@@ -268,12 +270,13 @@ def _sparsify(x, q, support, target, coefcol, method, accepted):
     return _plain_component(x, q, support, coefcol, target)
 
 
-def _run(f, n, config):
+def _run(f, n, config, first):
     """The pipeline of ``run_simpca`` on the triangular factor f of the
-    n-row data: every component keeps its F-space scores F_A w, and the
-    total variance is ||F||_F^2."""
+    n-row data, from its step-1 components ``first``, (B, F B, the pca
+    vexp) of ``pca._rotated_components``: every component keeps its
+    F-space scores F_A w, and the total variance is ||F||_F^2."""
     q = f
-    b, targets, pca_vexp, _ = pca._rotated_components(f, n, config)
+    b, targets, pca_vexp = first
     accepted = []
     rotated_vexp = []
     for j in range(config.nd):
@@ -316,10 +319,21 @@ def run_simpca(x, config):
 
     Every step runs on the triangular factor F of X = Q_x F (``_run``, see
     the module docstring); each component's ``scores`` are then formed once
-    in n-space from its support and coefficients.
+    in n-space from its support and coefficients. A DataMatrix keeps F,
+    its spectrum and the step-1 components of the latest rotation
+    setting, so pipelines run one after another on it share them (and
+    ``result.factor`` and ``result.pca_vexp`` are its read-only arrays);
+    an array takes its own QR and step 1 per call. Selection,
+    sparsification and deflation run per call, so the result has the same
+    bits either way.
     """
     values = np.asarray(x, float)
-    result = _run(np.linalg.qr(values, mode="r"), values.shape[0], config)
+    if isinstance(x, core.DataMatrix):
+        f, first = x._factor(), pca._first_step(x, config)
+    else:
+        f = np.linalg.qr(values, mode="r")
+        first = pca._rotated_components(f, values.shape[0], config)[:3]
+    result = _run(f, values.shape[0], config, first)
     return replace(result, components=tuple(
         replace(c, scores=values[:, list(c.support.indices)] @ c.coefficients)
         for c in result.components))

@@ -5,7 +5,7 @@ import pytest
 
 from simpca import center_scale
 from simpca.core import DataMatrix, r_squared, solve_ls, svd, vif
-from simpca.errors import NonFiniteInput, TooFewObservations, ZeroVarianceColumn
+from simpca.errors import ConfigError, NonFiniteInput, TooFewObservations, ZeroVarianceColumn
 
 from conftest import random_data
 
@@ -54,6 +54,20 @@ def test_center_scale_errors():
         center_scale(np.ones((1, 3)))
     with pytest.raises(ValueError):
         center_scale(np.ones((4, 2)), scaling="standardize")
+
+
+@pytest.mark.parametrize("raw", [np.ones(4), np.ones((3, 2, 2)), 5.0])
+def test_center_scale_takes_only_a_matrix(raw):
+    with pytest.raises(ConfigError, match="expected a 2-d matrix"):
+        center_scale(raw)
+
+
+def test_center_scale_names_each_column_once():
+    raw = np.arange(12.0).reshape(4, 3) ** 2
+    assert center_scale(raw, column_names=["a", "b", "c"]).column_names == ("a", "b", "c")
+    for names in (["a", "b"], ["a", "b", "c", "d"], []):
+        with pytest.raises(ConfigError, match="column_names length does not match p"):
+            center_scale(raw, column_names=names)
 
 
 def test_svd_reconstruction_and_rank():
@@ -123,6 +137,16 @@ def test_solve_ls_against_normal_equations():
         coef = solve_ls(a, b)
         oracle = np.linalg.solve(a.T @ a, a.T @ b)
         assert np.allclose(coef, oracle, atol=1e-8)
+
+
+def test_solve_ls_takes_a_vector_as_one_column():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(9)
+    b = rng.standard_normal((9, 2))
+    coef = solve_ls(a, b)
+    assert coef.shape == (1, 2)
+    assert np.array_equal(coef, solve_ls(a[:, None], b))
+    assert np.allclose(coef[0], (a @ b) / (a @ a), rtol=1e-12)
 
 
 def test_solve_ls_rank_deficient_minimum_norm():

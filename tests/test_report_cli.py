@@ -1,7 +1,7 @@
 """CSV ingestion, report assembly/serialization, and the CLI front end."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from simpca import (
     ingest_csv,
     run_simpca,
 )
-from simpca import cli, core, pca, selection, sparse
+from simpca import cli, core, pca, rotation, selection, sparse
 from simpca.cli import main
 from simpca.errors import (
     ConfigError,
@@ -179,7 +179,8 @@ def _assert_factor_report_is_the_nspace_report(x, response, configs):
     assert rep.total_variance == pytest.approx(total, **close)
     for config in configs:
         want = run_simpca(x, config)
-        got = sparse._run(r[:x.p, :x.p], x.n, config)
+        f = r[:x.p, :x.p]
+        got = sparse._run(f, x.n, config, pca._rotated_components(f, x.n, config)[:3])
         assert ([c.support.indices for c in got.components]
                 == [c.support.indices for c in want.components])
         rep = build_report(x, got, {}, r)
@@ -298,7 +299,7 @@ def _eurojobs_reports():
 
 
 def test_json_schema_matches_field_by_field_oracle():
-    # the JSON schema is the dataclasses': emit dumps asdict(report) and
+    # the JSON schema is the dataclasses': emit dumps their fields and
     # report_from_json rebuilds from the fields, with the same bytes and the
     # same report as the field-by-field code (no byte golden: full-precision
     # floats differ across numpy and BLAS builds)
@@ -312,6 +313,37 @@ def test_json_schema_matches_field_by_field_oracle():
         back = report_from_json(payload)
         assert back == _report_from_json_oracle(payload) == rep
         assert emit(back, "json") == payload
+
+
+def _asdict_json(report):
+    """emit(report, 'json') as it was when it dumped a deep copy."""
+    return (json.dumps(asdict(report), indent=2) + "\n").encode()
+
+
+def test_json_reads_the_report_in_place_with_the_bytes_of_its_deep_copy():
+    # emit hands json the dataclasses' own fields, not asdict's deep copy
+    names, values, _, resp = ingest_csv(EUROJOBS, response_column="finance",
+                                        id_column="country")
+    x = center_scale(values, "unit-variance", names)
+    reports = [pca_report(x, _factor(x, y), d, {"nd": d or 0, "response": y is not None})
+               for y in (None, resp) for d in (3, None)]
+    for nd in (1, 3):
+        config = SimpcaPipelineConfig(nd=nd, nr=4,
+                                      strategy=SelectionStrategy("forward", alpha=0.95))
+        reports.append(build_report(x, run_simpca(x, config), {"nd": nd, "response": "finance"},
+                                    _factor(x, resp)))
+    assert [len(r.components) for r in reports] == [0, 0, 0, 0, 1, 3]
+    assert [len(r.response_r2) for r in reports] == [0, 0, 3, 8, 1, 3]
+    for rep in reports:
+        assert emit(rep, "json") == _asdict_json(rep)
+    # a config echo json cannot write is json's own TypeError, as before
+    rep = replace(reports[-1], config={"input": Path(EUROJOBS)})
+    with pytest.raises(TypeError) as before:
+        _asdict_json(rep)
+    with pytest.raises(TypeError) as now:
+        emit(rep, "json")
+    assert str(now.value) == str(before.value) == (
+        f"Object of type {type(Path()).__name__} is not JSON serializable")
 
 
 def test_tsv_blocks():
@@ -826,6 +858,14 @@ def test_cli_names_translate_to_the_library_lists_in_order():
     # the parser takes its --coef-scale and --select choices from these keys
     assert tuple(cli._COEF_SCALES.values()) == pca.SCALINGS
     assert tuple(cli._SELECT_KINDS.values()) == selection.KINDS
+    assert tuple(cli._NORMS.values()) == selection.NORMS
+    # --criterion takes the named presets and cf, which takes --kappa
+    assert list(rotation.PRESETS) == ["varimax", "quartimax", "equamax"]
+    for nr in (2, 5):
+        assert [make(nr) for make in rotation.PRESETS.values()] == [
+            rotation.RotationCriterion.varimax(), rotation.RotationCriterion.quartimax(),
+            rotation.RotationCriterion.equamax(nr)]
+    assert list(cli._NORMS) == ["1", "2", "inf"]
 
 
 def test_cli_scale_required():

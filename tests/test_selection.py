@@ -207,7 +207,7 @@ def test_iterative_reverse_orders_tied_coefficients_by_index():
     rng = np.random.default_rng(21)
     for case in range(40):
         p = int(rng.integers(4, 12))
-        x = random_data(rng, n=int(rng.integers(p + 2, 40)), p=p).values
+        x = random_data(rng, n=int(rng.integers(p + 2, 40)), p=p).values.copy()
         i, j = (int(k) for k in sorted(rng.choice(p, 2, replace=False)))
         x[:, i] *= 10.0
         x[:, j] = x[:, i]
@@ -764,7 +764,7 @@ def test_carried_selection_matches_per_step_loops_on_factor_data():
         for case in range(20):
             p = int(rng.integers(6, 30))
             n = int(rng.integers(p + 2, 3 * p))
-            x = random_data(rng, n=n, p=p).values
+            x = random_data(rng, n=n, p=p).values.copy()
             i, j = rng.choice(p, 2, replace=False)
             x[:, j] = x[:, i] + 10.0 ** -rng.integers(2, 8) * rng.standard_normal(n)
             weights = rng.standard_normal(p) * (rng.random(p) < 0.5)
@@ -883,7 +883,7 @@ def test_backward_matches_per_step_loop_on_factor_data():
     for case in range(20):
         p = int(rng.integers(6, 30))
         n = int(rng.integers(p + 2, 3 * p))
-        x = random_data(rng, n=n, p=p).values
+        x = random_data(rng, n=n, p=p).values.copy()
         i, j = rng.choice(p, 2, replace=False)
         x[:, j] = x[:, i] + 10.0 ** -rng.integers(4, 8) * rng.standard_normal(n)
         target = x @ (rng.standard_normal(p) * (rng.random(p) < 0.5))

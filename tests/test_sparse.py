@@ -46,6 +46,12 @@ def test_contributions_sum_and_sign():
         contributions(np.zeros(3))
 
 
+@pytest.mark.parametrize("coefficients", [[0.0], [0.0, -0.0, 0.0], np.zeros(0)])
+def test_contributions_of_no_nonzero_coefficient_is_an_empty_support(coefficients):
+    with pytest.raises(EmptySupport):
+        contributions(coefficients)
+
+
 def test_projection_r2_identity_and_vexp_bound():
     # corr(target, projected scores)^2 equals the regression R^2, and the
     # projected component explains at least R^2 times the target's vexp

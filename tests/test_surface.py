@@ -97,7 +97,7 @@ ARGV = ["simpca", "--input", EUROJOBS, "--id-column", "country", "--scale", "non
 
 
 def _failing(exc):
-    def run(f, n, config):
+    def run(f, n, config, first):
         raise exc
     return run
 
