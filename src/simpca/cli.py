@@ -223,7 +223,7 @@ def _cmd_simpca(args):
     config = _config(args, args.nd, strategy, method=args.method, deflate=args.deflate)
     x, r = _load(args)
     f = r[:x.p, :x.p]
-    result = sparse._run(f, x.n, config, pca._rotated_components(f, x.n, config)[:3])
+    result = sparse._run(f, x.n, config, pca._first_step(f, x.n, config))
     rep = report.build_report(x, result, _echo(args), r)
     _write(report.emit(rep, args.format), args)
 

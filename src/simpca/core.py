@@ -4,7 +4,7 @@ Centering/scaling of raw observation matrices, SVD with numerical rank
 control, the one least-squares kernel behind every fit, R^2, deflation and
 null space (``_ls_svd``), add-one/drop-one R^2 and variance inflation.
 Everything here is a pure function of immutable inputs; a DataMatrix
-keeps, on first use, the factor and spectrum its pipelines share.
+keeps, on first use, the factor and SVD its pipelines share.
 """
 
 import operator
@@ -51,6 +51,15 @@ def _read_only(value):
     return value
 
 
+def _check_shape(values, column_names=None):
+    """``ConfigError`` unless values is 2-d and, given names, has one per
+    column."""
+    if values.ndim != 2:
+        raise ConfigError("expected a 2-d matrix")
+    if column_names is not None and len(column_names) != values.shape[1]:
+        raise ConfigError("column_names length does not match p")
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """Centered (optionally unit-variance scaled) n x p observation matrix.
@@ -59,14 +68,16 @@ class DataMatrix:
     by the sample standard deviation (denominator n - 1), so every column
     has sum of squares n - 1.
 
-    ``values`` is read-only. ``center_scale`` hands over the one array it
-    made; built around an array that is writeable or a view of another, a
-    DataMatrix keeps a read-only copy, so no later write reaches it. What
+    ``values`` is read-only and 2-d, with one name per column
+    (``ConfigError`` otherwise). ``center_scale`` hands over the one array
+    it made; built around an array that is writeable or a view of another,
+    a DataMatrix keeps a read-only copy, so no later write reaches it. What
     every pipeline on the data starts from is therefore computed once, on
     first use, and kept read-only on the instance: the triangular factor F
-    of X = QF (``_factor``), F's rank-cut spectrum (``_spectrum``) and the
-    step-1 rotated components of the latest rotation setting
-    (``pca._first_step``). The cache is not a field, so eq, repr,
+    of X = QF (``_factor``), the thin SVD of F (``_svd``), whose rank cut is
+    the spectrum and which seeds every backward selection on all of F's
+    columns, and the step-1 rotated components of the latest rotation
+    setting (``sparse.run_simpca``). The cache is not a field, so eq, repr,
     ``fields()``, ``asdict`` and ``replace`` do not see it.
     """
 
@@ -78,6 +89,7 @@ class DataMatrix:
         if not isinstance(values, np.ndarray) or values.flags.writeable or values.base is not None:
             values = _read_only(np.array(values))
             object.__setattr__(self, "values", values)
+        _check_shape(values, self.column_names)
         object.__setattr__(self, "_cache", {})
 
     def __reduce__(self):
@@ -97,9 +109,10 @@ class DataMatrix:
         return self._memo("factor", None,
                           lambda: np.linalg.qr(np.asarray(self.values, float), mode="r"))
 
-    def _spectrum(self):
-        """``svd(F, n)``: the rank-cut singular values and vectors of X."""
-        return self._memo("spectrum", None, lambda: svd(self._factor(), self.n))
+    def _svd(self):
+        """The thin SVD (U, s, V') of F, the one LAPACK SVD of F."""
+        return self._memo("svd", None,
+                          lambda: np.linalg.svd(self._factor(), full_matrices=False))
 
     @property
     def n(self):
@@ -132,8 +145,7 @@ def center_scale(raw, scaling="none", column_names=None):
     ``center_scale(raw[:, idx], ...)`` is the DataMatrix of the columns idx.
     """
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2:
-        raise ConfigError("expected a 2-d matrix")
+    _check_shape(raw)
     n, p = raw.shape
     if n < 2:
         raise TooFewObservations(n)
@@ -142,10 +154,8 @@ def center_scale(raw, scaling="none", column_names=None):
         raise ConfigError(f"unknown scaling mode {scaling!r}")
     if column_names is None:
         column_names = tuple(f"x{i + 1}" for i in range(p))
-    else:
-        column_names = tuple(column_names)
-        if len(column_names) != p:
-            raise ConfigError("column_names length does not match p")
+    column_names = tuple(column_names)
+    _check_shape(raw, column_names)
 
     centered = raw - raw.mean(axis=0)
     if scaling == "unit-variance":
@@ -165,15 +175,20 @@ def svd(x, n=None):
     the r = numerical-rank pairs: those above max(n, p) * eps * lambda_1,
     with n the row count of the data x stands for, x's own by default. The
     pipeline passes the triangular factor F of X = QF (Chan's R-SVD) and
-    X's n: F has X's singular values and right vectors, and X's rank. No
-    caller reads U.
+    X's n: F has X's singular values and right vectors, and X's rank.
     """
     values = np.asarray(x, float)
-    m, p = values.shape
-    _, s, vt = np.linalg.svd(values, full_matrices=False)
+    return _rank_cut(np.linalg.svd(values, full_matrices=False),
+                     values.shape[0] if n is None else n)
+
+
+def _rank_cut(usv, n):
+    """``svd``'s (lambda, V) from the thin SVD usv = (U, s, V') of a matrix
+    standing for n rows of data."""
+    _, s, vt = usv
     if s.size == 0 or s[0] == 0.0:
         return s[:0], vt[:0].T
-    r = int(np.sum(s > max(m if n is None else n, p) * EPS * s[0]))
+    r = int(np.sum(s > max(n, vt.shape[1]) * EPS * s[0]))
     return s[:r], vt[:r].T
 
 
@@ -184,16 +199,17 @@ def svd(x, n=None):
 _LS_CUT = 16 * EPS
 
 
-def _ls_svd(a):
+def _ls_svd(a, usv=None):
     """Thin SVD of a at the least-squares cut, the one kernel of every fit.
 
     Returns (U_r, s_r, V_r, N): the r triplets above _LS_CUT * k * sigma_1
     (k columns; r = 0 for a zero or empty a) and the k x (k - r)
-    null-space block N of V.
+    null-space block N of V. usv, the SVD this takes of a, when given is
+    read instead.
     """
     n, k = a.shape
     # with n < k, V needs its full k x k block to hold the null space
-    u, s, vt = np.linalg.svd(a, full_matrices=n < k)
+    u, s, vt = np.linalg.svd(a, full_matrices=n < k) if usv is None else usv
     r = int(np.sum(s > _LS_CUT * k * s[0])) if s.size else 0
     return u[:, :r], s[:r], vt[:r].T, vt[r:].T
 
@@ -210,11 +226,11 @@ def _pinv_diag(s, v, null):
     return h
 
 
-def _ls_state(a, b):
-    """Least-squares state of b on the columns of a from one ``_ls_svd``:
-    (U_r, s_r, V_r, N, resid, beta) with resid = b - U_r U_r'b and beta the
-    minimum-norm coefficients."""
-    u, s, v, null = _ls_svd(a)
+def _ls_state(a, b, usv=None):
+    """Least-squares state of b on the columns of a from one ``_ls_svd``
+    (of usv, when given): (U_r, s_r, V_r, N, resid, beta) with
+    resid = b - U_r U_r'b and beta the minimum-norm coefficients."""
+    u, s, v, null = _ls_svd(a, usv)
     uy = u.T @ b
     return u, s, v, null, b - u @ uy, v @ (uy / s)
 

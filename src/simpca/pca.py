@@ -22,7 +22,9 @@ class PcaModel:
 
     Columns of ``v`` are unit-L2 coefficient vectors, ``scores`` = X @ v,
     the one n-space product, and ``vexp[j]`` = lambda[j]**2, in the units
-    of the total variance ||X||_F^2.
+    of the total variance ||X||_F^2. Every array is the model's own and
+    writeable, from a DataMatrix as from an array: none is a view of what a
+    DataMatrix keeps.
     """
 
     v: np.ndarray
@@ -61,25 +63,25 @@ def fit_pca(x, d=None):
 
     The spectrum is that of the triangular factor F of X = QF, rank-cut
     with X's n (``core.svd``); only the scores X V are formed in n-space.
-    A DataMatrix computes its factor and spectrum once and keeps them, so
-    every fit and pipeline on it reads the same ones; an array takes its
+    A DataMatrix computes its factor and the SVD of it once and keeps them,
+    so every fit and pipeline on it reads the same ones; an array takes its
     own QR and SVD per call. The CLI's ``pca`` command reads the same
     spectrum off its own factor (``report.pca_report``) and never calls
     this.
     """
     values = np.asarray(x, float)
     if isinstance(x, core.DataMatrix):
-        s, v = x._spectrum()
+        s, v = core._rank_cut(x._svd(), x.n)
     else:
         s, v = core.svd(np.linalg.qr(values, mode="r"), values.shape[0])
     lam, v = _leading(s, v, d)
-    return PcaModel(v=v, lam=lam, scores=values @ v, vexp=lam**2)
+    return PcaModel(v=v, lam=lam.copy(), scores=values @ v, vexp=lam**2)
 
 
 def _rotation_setting(config):
     """Every field of a pipeline config that ``_rotated_components`` reads,
     which reads them from here: the key of the step 1 a DataMatrix keeps
-    (``_first_step``)."""
+    (``sparse.run_simpca``)."""
     return (config.nr, config.coefficient_scaling, config.criterion, config.kaiser,
             config.rotation_tol, config.max_sweeps, config.restarts, config.seed)
 
@@ -115,12 +117,14 @@ def _rotated_components(f, n, config, deflated=False, spectrum=None):
     return b, scores[:, order] * signs, lam**2, result
 
 
-def _first_step(x, config):
-    """Step 1 of every pipeline on the DataMatrix x: (B, F B, the pca
-    vexp) of ``_rotated_components`` on x's kept factor and spectrum, kept
-    on x, read-only, for the latest rotation setting."""
-    return x._memo("first step", _rotation_setting(config), lambda: _rotated_components(
-        x._factor(), x.n, config, spectrum=x._spectrum())[:3])
+def _first_step(f, n, config, usv=None):
+    """Step 1 of a pipeline on the factor f of n-row data: (B, F B, the pca
+    vexp) of ``_rotated_components`` and usv, the thin SVD (U, s, V') of f,
+    taken here unless given. The spectrum is its rank cut, and backward
+    selection seeds its fit on all of f's columns from it
+    (``sparse._run``)."""
+    usv = np.linalg.svd(f, full_matrices=False) if usv is None else usv
+    return _rotated_components(f, n, config, spectrum=core._rank_cut(usv, n))[:3] + (usv,)
 
 
 def vexp_of_component(x, t):

@@ -72,7 +72,9 @@ that one check covers every later step. A step whose best drop lies within
 _MARGIN of the runner-up or of alpha is too close for the downdated scores
 to call: it is retaken from a fresh SVD of the support, exactly as
 ``r2_add_drop`` scores it, which also seeds the state again. A support that
-cannot be certified takes a fresh SVD at every step.
+cannot be certified takes a fresh SVD at every step. Given the SVD of x
+(``_WithSvd``), as the pipeline gives it the SVD of its factor, a fit on
+all of x's columns reads it instead of taking the same SVD again.
 
 Candidates are then scanned in order, as the per-candidate fits were: a
 later one wins only by more than _GAIN_EPS, so ties go to the lowest index
@@ -529,12 +531,12 @@ def forward_select(x, target, alpha, max_cardinality=None):
     return SupportSet(indices=tuple(chosen), r2=fit.r2, trace=tuple(fit.trace))
 
 
-def _seed(a, y, yy):
-    """rr, the drop scores of the support a from one SVD, bit for bit those
-    of ``r2_add_drop``, and the state (rr, beta, H, active) of y on a to
-    downdate, or None when a is rank deficient or too ill-conditioned to
-    downdate."""
-    _, s, v, null, resid, beta = _ls_state(a, y)
+def _seed(a, y, yy, usv=None):
+    """rr, the drop scores of the support a from one SVD (usv, when given),
+    bit for bit those of ``r2_add_drop``, and the state (rr, beta, H,
+    active) of y on a to downdate, or None when a is rank deficient or too
+    ill-conditioned to downdate."""
+    _, s, v, null, resid, beta = _ls_state(a, y, usv)
     h = _pinv_diag(s, v, null)
     rr = float(resid @ resid)
     drop = _drop_r2(rr, beta, h, yy)
@@ -559,6 +561,19 @@ def _downdate(rr, beta, gram_inv, active, j):
     return rr + bj**2 / hjj, beta, gram_inv, active
 
 
+class _WithSvd:
+    """A matrix with its thin SVD usv = (U, s, V'), as
+    ``np.linalg.svd(values, full_matrices=False)`` gives it. Every strategy
+    takes it as the array ``values``; backward selection seeds its fit on
+    all the columns of values from usv instead of taking that SVD again."""
+
+    def __init__(self, values, usv):
+        self.values, self.usv = values, usv
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
+
+
 def backward_select(x, target, alpha):
     """Drop variables while the best remaining fit keeps R^2 >= alpha.
 
@@ -572,6 +587,8 @@ def backward_select(x, target, alpha):
     values = np.asarray(x, float)
     n, p = values.shape
     chosen = list(range(p)) if p <= n else list(forward_select(values, target, alpha).indices)
+    # the SVD of x, the one of the full support when that is where it starts
+    usv = x.usv if isinstance(x, _WithSvd) and p <= n else None
     trace = [("+", i, None) for i in chosen]
     y = np.asarray(target, float)
     yy = float(y @ y)
@@ -585,7 +602,7 @@ def backward_select(x, target, alpha):
             drop = _drop_r2(rr, beta[keep], gram_inv.diagonal()[keep], yy)
             best = _certified(drop, (alpha,))
         if best is None:  # the first step, or too close to call: a fresh SVD
-            rr, drop, state = _seed(values[:, chosen], y, yy)
+            rr, drop, state = _seed(values[:, chosen], y, yy, usv if len(chosen) == p else None)
             keep = range(len(chosen))
             if r2 is None:  # as r_squared gives it from the same SVD
                 r2 = max(0.0, 1.0 - rr / yy)

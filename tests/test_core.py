@@ -70,6 +70,17 @@ def test_center_scale_names_each_column_once():
             center_scale(raw, column_names=names)
 
 
+def test_a_data_matrix_checks_its_shape_and_names():
+    # as center_scale checks them, and before any property reads the shape
+    with pytest.raises(ConfigError, match="expected a 2-d matrix"):
+        DataMatrix(values=np.ones(3), column_names=())
+    for names in (("a",), (), ("a", "b", "c")):
+        with pytest.raises(ConfigError, match="column_names length does not match p"):
+            DataMatrix(values=np.ones((4, 2)), column_names=names)
+    x = DataMatrix(values=np.ones((4, 2)), column_names=("a", "b"))
+    assert (x.n, x.p) == (4, 2)
+
+
 def test_svd_reconstruction_and_rank():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -1,9 +1,11 @@
-"""Pipelines on one DataMatrix share its factor, spectrum and step 1.
+"""Pipelines on one DataMatrix share its factor, its SVD and step 1.
 
-A DataMatrix computes the triangular factor F of its values, F's spectrum
-and the step-1 rotated components of the latest rotation setting once, and
-keeps them read-only. Every result on it must have the bits that the same
-call gets on a fresh copy of the data, which computes everything anew.
+A DataMatrix computes the triangular factor F of its values, the one SVD
+of F, which gives the spectrum and seeds every backward selection on all of
+F's columns, and the step-1 rotated components of the latest rotation
+setting once, and keeps them read-only. Every result on it must have the
+bits that the same call gets on a fresh copy of the data, which computes
+everything anew.
 """
 
 import itertools
@@ -18,14 +20,16 @@ from simpca import (
     SelectionStrategy,
     SimpcaPipelineConfig,
     center_scale,
-    core,
+    cli,
     fit_pca,
     rotation,
     run_simpca,
+    selection,
 )
 from simpca.core import DataMatrix
 from simpca.errors import SimpcaError
 from simpca.report import ingest_csv
+from simpca.selection import backward_select
 
 from conftest import EUROJOBS, random_data
 
@@ -121,20 +125,31 @@ def test_pipelines_on_one_data_matrix_have_the_bits_of_fresh_copies(data):
 
 
 def _counted(monkeypatch):
-    """Record every n-space QR (by shape), ``core.svd`` argument and
-    ``rotation.rotate`` call; the counts are read off the returned dict."""
+    """Record every n-space QR (by shape), a copy of every LAPACK SVD's
+    input and every ``rotation.rotate`` call; the counts are read off the
+    returned dict."""
     seen = {"qr": [], "svd": [], "rotate": 0}
-    qr, svd, rotate = np.linalg.qr, core.svd, rotation.rotate
+    qr, svd, rotate = np.linalg.qr, np.linalg.svd, rotation.rotate
 
     def counted_rotate(*args, **kwargs):
         seen["rotate"] += 1
         return rotate(*args, **kwargs)
 
+    def counted_svd(a, *args, **kwargs):
+        seen["svd"].append(np.array(a))
+        return svd(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "qr",
                         lambda a, mode="reduced": seen["qr"].append(a.shape) or qr(a, mode))
-    monkeypatch.setattr(core, "svd", lambda f, n=None: seen["svd"].append(f) or svd(f, n))
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(rotation, "rotate", counted_rotate)
     return seen
+
+
+def _svds_of(seen, f):
+    """How many LAPACK SVDs took a matrix with the bits of f, whether f
+    itself or a copy of its columns."""
+    return sum(a.shape == f.shape and np.array_equal(a, f) for a in seen["svd"])
 
 
 def test_one_qr_one_spectrum_and_one_step_one_rotation_per_setting(monkeypatch):
@@ -144,7 +159,7 @@ def test_one_qr_one_spectrum_and_one_step_one_rotation_per_setting(monkeypatch):
     fit_pca(x, 2)
     assert seen["qr"].count((x.n, x.p)) == 1
     f = next(r.factor for r in results if not isinstance(r, type))
-    assert sum(a is f for a in seen["svd"]) == 1
+    assert _svds_of(seen, f) == 1
     # step 1 alone (nd = 1): one rotation per change of setting, whatever
     # the strategy, method and deflate switch; the last config above had
     # the second setting
@@ -155,7 +170,90 @@ def test_one_qr_one_spectrum_and_one_step_one_rotation_per_setting(monkeypatch):
         fit_pca(x, 3)
     assert seen["rotate"] == 3
     assert seen["qr"].count((x.n, x.p)) == 1
-    assert sum(a is f for a in seen["svd"]) == 1
+    assert _svds_of(seen, f) == 1
+
+
+@pytest.mark.parametrize("data", ["eurojobs-none", "eurojobs-unit-variance", "random",
+                                  "rank-deficient"])
+def test_one_lapack_svd_of_the_factor_seeds_the_spectrum_and_every_backward_step(
+        data, monkeypatch):
+    # F is square here, so each backward step would seed its fit on all of
+    # F's columns from the very SVD the spectrum came from
+    x = DATA[data]()
+    seen = _counted(monkeypatch)
+    fit_pca(x, 2)
+    run_simpca(x, SimpcaPipelineConfig(nd=2, nr=3, strategy=STRATEGIES[0]))
+    for alpha, deflate, setting in ((0.9, True, SETTINGS[0]), (0.8, False, SETTINGS[1])):
+        result = run_simpca(x, SimpcaPipelineConfig(
+            nd=3, nr=4, strategy=SelectionStrategy("backward", alpha=alpha), method="cspca",
+            deflate=deflate, **setting))
+        # each step dropped a column, so it seeded from the full support
+        assert all(c.support.trace[x.p][0] == "-" for c in result.components)
+    assert _svds_of(seen, result.factor) == 1
+
+
+def _bits(support):
+    """A support's indices, trace and R^2, each R^2 by its exact bits."""
+    def hexed(r2):
+        return None if r2 is None else float(r2).hex()
+    return (support.indices, hexed(support.r2),
+            tuple((op, i, hexed(r2)) for op, i, r2 in support.trace))
+
+
+def _write_csv(path, values):
+    names = [f"v{j + 1}" for j in range(values.shape[1])]
+    np.savetxt(path, values, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+
+
+@pytest.mark.parametrize("data", ["eurojobs-none", "eurojobs-unit-variance", "rank-deficient",
+                                  "p-above-n"])
+def test_each_backward_step_is_the_public_backward_select(data, monkeypatch, tmp_path):
+    # every step's support, as the pipeline selects it on F, has the bits of
+    # the public backward_select on that step's target, which takes every
+    # SVD itself: on a DataMatrix, on an array and through the CLI
+    steps = []
+    select = selection.select_support
+
+    def recorded(f, target, coefficients, strategy):
+        support = select(f, target, coefficients, strategy)
+        steps.append((np.array(f), target.copy(), strategy.alpha, support))
+        return support
+
+    monkeypatch.setattr(selection, "select_support", recorded)
+    x = DATA[data]()
+    if data.startswith("eurojobs"):
+        csv = [EUROJOBS, "--id-column", "country", "--scale", data.split("-", 1)[1]]
+    else:
+        _write_csv(tmp_path / "x.csv", x.values)
+        csv = [str(tmp_path / "x.csv"), "--scale", "none"]
+    for alpha, deflate in ((0.9, True), (0.75, False)):
+        config = SimpcaPipelineConfig(nd=3, nr=4, strategy=SelectionStrategy(
+            "backward", alpha=alpha), method="cspca", deflate=deflate)
+        run_simpca(x, config)
+        run_simpca(np.asarray(x), config)
+        assert cli.main(["simpca", "--input", *csv, "--nr", "4", "--nd", "3", "--select",
+                         "backward", "--alpha", str(alpha), "--method", "cspca",
+                         "--deflate" if deflate else "--no-deflate",
+                         "--out", str(tmp_path / "out.json"), "--format", "json"]) == 0
+    assert len(steps) == 2 * 3 * 3
+    for f, target, alpha, support in steps:
+        assert _bits(support) == _bits(backward_select(f, target, alpha))
+
+
+def test_a_pca_model_owns_writeable_arrays_on_either_input():
+    make = _eurojobs("none")
+    x = make()
+    want = fit_pca(make(), 3)
+    for data in (x, np.asarray(x)):
+        model = fit_pca(data, 3)
+        for name in ("v", "lam", "scores", "vexp"):
+            array = getattr(model, name)
+            assert array.flags.writeable and array.flags.owndata, name
+            array[...] = 0.0
+        # a write to one model reaches neither the kept SVD nor a later fit
+        again = fit_pca(data, 3)
+        for name in ("v", "lam", "scores", "vexp"):
+            assert np.array_equal(getattr(again, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("field, value", [
@@ -185,7 +283,7 @@ def test_an_array_takes_its_own_qr_and_step_one_per_call(monkeypatch):
         run_simpca(x, config)
         fit_pca(x, 2)
     assert seen["qr"].count(x.shape) == 6
-    assert len(seen["svd"]) == 6
+    assert _svds_of(seen, np.linalg.qr(x, mode="r")) == 6
     assert seen["rotate"] == 3
 
 

@@ -96,6 +96,30 @@ ARGV = ["simpca", "--input", EUROJOBS, "--id-column", "country", "--scale", "non
         "--nr", "3", "--nd", "2"]
 
 
+_DATA_OPTIONS = ["--input", "--id-column", "--response", "--scale", "--delimiter", "--out"]
+_ROTATION_OPTIONS = ["--coef-scale", "--criterion", "--kappa", "--kaiser", "--nr", "--seed",
+                     "--restarts"]
+# every option string of each subcommand, in the parser's order: a change
+# that adds, renames or drops a flag changes this list with it
+OPTIONS = {
+    "pca": ["-h", "--help", *_DATA_OPTIONS, "--nd", "--format"],
+    "rotate": ["-h", "--help", *_DATA_OPTIONS, *_ROTATION_OPTIONS],
+    "simpca": ["-h", "--help", *_DATA_OPTIONS, *_ROTATION_OPTIONS, "--nd", "--select",
+               "--alpha", "--threshold", "--t0", "--step", "--norm", "--method", "--deflate",
+               "--no-deflate", "--format"],
+}
+
+
+def test_each_subcommand_takes_the_pinned_options():
+    # read off the parser's actions, not --help, whose layout varies
+    # between Python versions
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a.choices, dict))
+    assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"]
+    assert {name: [s for a in sub._actions for s in a.option_strings]
+            for name, sub in commands.choices.items()} == OPTIONS
+
+
 def _failing(exc):
     def run(f, n, config, first):
         raise exc
