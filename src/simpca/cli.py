@@ -8,9 +8,11 @@ step starts from, ordered by variance explained with signs fixed, and
 takes its rotation settings from the same flags as ``simpca``. An nr, or a
 ``pca`` nd, above the numerical rank of the data is ``RankExceeded``.
 
-Each command reads the data through one QR: of X, or of [X y] with the
-centered response y when ``--response`` names one, and no n-row array is
-read after it (``_load``).
+Each command reads the data through one QR of X, and no n-row array is
+read after it: the record of ``_load`` holds F of X and, when
+``--response`` names one, the centered response y reflected into the
+last column [c; rho] of R([X y]), so a response never changes a
+component.
 
 Exit codes: 0 success, 2 configuration error (``ConfigError``), 3 data
 error (``DataError``, ``OSError``), 4 numerical failure (``NumericalError``,
@@ -128,9 +130,9 @@ def _criterion_from_args(args):
 
 
 def _load(args):
-    """The centered data x, for its names and n, and the one factor every
-    command reads: R([X y]) of X and the centered response with
-    ``--response``, the factor F of X alone without it. F = R[:p, :p]."""
+    """The record every command reads (``core._factor_of``): F of the
+    centered data X, its n and names, and with ``--response`` [c; rho] of
+    the centered response. No n-row array is kept."""
     names, values, _, resp = report.ingest_csv(
         args.input,
         response_column=args.response,
@@ -151,8 +153,7 @@ def _load(args):
     if np.all(values == values[0]):
         raise ConstantData(values.shape[1])
     del values  # the raw block, freed before the QR copies the centered one
-    xy = x.values if resp is None else np.column_stack([x.values, resp - resp.mean()])
-    return x, np.linalg.qr(xy, mode="r")
+    return core._factor_of(x, y=resp)
 
 
 def _echo(args, skip=("out",)):
@@ -169,10 +170,9 @@ def _write(payload, args):
 
 def _cmd_pca(args):
     core._count(args.nd, "nd", least=0)
-    x, r = _load(args)
     # --nd 0 reports every component up to the rank, read off the one SVD;
     # the echo holds the count reported, as --nd <rank> would
-    rep = report.pca_report(x, r, args.nd or None, _echo(args))
+    rep = report.pca_report(_load(args), args.nd or None, _echo(args))
     rep.config["nd"] = len(rep.pca_vexp_pct)
     _write(report.emit(rep, args.format), args)
 
@@ -199,10 +199,10 @@ def _cmd_rotate(args):
     # threshold of 0, which keeps every variable, stands for any strategy
     keep_all = selection.SelectionStrategy("fixed-threshold", threshold=0.0)
     config = _config(args, args.nr, keep_all)
-    x, r = _load(args)
-    b, _, _, result = pca._rotated_components(r[:x.p, :x.p], x.n, config)
+    rec = _load(args)
+    b, _, _, result = pca._first_step(rec, config)
     lines = ["\t".join(["variable"] + [f"comp{j + 1}" for j in range(args.nr)])]
-    for name, row in zip(x.column_names, b):
+    for name, row in zip(rec.column_names, b):
         lines.append("\t".join([name] + [f"{v:.6f}" for v in row]))
     if result is None:
         lines.append("# not rotated: a single component")
@@ -221,10 +221,8 @@ def _cmd_simpca(args):
         norm_m=_NORMS[args.norm],
     )
     config = _config(args, args.nd, strategy, method=args.method, deflate=args.deflate)
-    x, r = _load(args)
-    f = r[:x.p, :x.p]
-    result = sparse._run(f, x.n, config, pca._first_step(f, x.n, config))
-    rep = report.build_report(x, result, _echo(args), r)
+    rec = _load(args)
+    rep = report.build_report(rec, sparse._run(rec, config), _echo(args))
     _write(report.emit(rep, args.format), args)
 
 

@@ -3,12 +3,14 @@
 Centering/scaling of raw observation matrices, SVD with numerical rank
 control, the one least-squares kernel behind every fit, R^2, deflation and
 null space (``_ls_svd``), add-one/drop-one R^2 and variance inflation.
-Everything here is a pure function of immutable inputs; a DataMatrix
-keeps, on first use, the factor and SVD its pipelines share.
+Everything here is a pure function of immutable inputs, but for the one
+record of the data's factor (``_Factor``) that every input kind is turned
+into, which keeps its SVD and step 1 on first use.
 """
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,12 +75,9 @@ class DataMatrix:
     it made; built around an array that is writeable or a view of another,
     a DataMatrix keeps a read-only copy, so no later write reaches it. What
     every pipeline on the data starts from is therefore computed once, on
-    first use, and kept read-only on the instance: the triangular factor F
-    of X = QF (``_factor``), the thin SVD of F (``_svd``), whose rank cut is
-    the spectrum and which seeds every backward selection on all of F's
-    columns, and the step-1 rotated components of the latest rotation
-    setting (``sparse.run_simpca``). The cache is not a field, so eq, repr,
-    ``fields()``, ``asdict`` and ``replace`` do not see it.
+    first use, and kept on the instance: its record (``_factor``, see
+    ``_Factor``). The record is not a field, so eq, repr, ``fields()``,
+    ``asdict`` and ``replace`` do not see it.
     """
 
     values: np.ndarray
@@ -90,29 +89,15 @@ class DataMatrix:
             values = _read_only(np.array(values))
             object.__setattr__(self, "values", values)
         _check_shape(values, self.column_names)
-        object.__setattr__(self, "_cache", {})
 
     def __reduce__(self):
-        # a copy or an unpickled instance is built anew, with its own cache
+        # a copy or an unpickled instance is built anew, with its own record
         return DataMatrix, (self.values, self.column_names)
 
-    def _memo(self, name, key, compute):
-        """compute(), kept read-only on this instance under name while key
-        stays the same: one slot per name, which a new key replaces."""
-        hit = self._cache.get(name)
-        if hit is None or hit[0] != key:
-            hit = self._cache[name] = key, _read_only(compute())
-        return hit[1]
-
+    @cached_property
     def _factor(self):
-        """The triangular factor F of X = QF (p x p, or n x p when n < p)."""
-        return self._memo("factor", None,
-                          lambda: np.linalg.qr(np.asarray(self.values, float), mode="r"))
-
-    def _svd(self):
-        """The thin SVD (U, s, V') of F, the one LAPACK SVD of F."""
-        return self._memo("svd", None,
-                          lambda: np.linalg.svd(self._factor(), full_matrices=False))
+        """The record every pipeline on the data reads (``_factor_of``)."""
+        return _factor_of(self.values, self.column_names)
 
     @property
     def n(self):
@@ -168,14 +153,74 @@ def center_scale(raw, scaling="none", column_names=None):
     return DataMatrix(values=_read_only(centered), column_names=column_names)
 
 
+class _Factor:
+    """The one record every pipeline step, fit and report reads: the
+    read-only triangular factor ``f`` of X = QF (p x p, or n x p when
+    n < p), X's row count ``n``, the ``column_names`` (None for an array)
+    and ``yf``, None or, for a centered response y, the last column
+    [c; rho] of R([X y]) = [F c; 0 rho]. It keeps, on first use, the thin
+    SVD of F (``usv``) and the step 1 of the latest rotation setting
+    (``step``, from ``pca._first_step``). Its array is F, so every
+    function taking an array takes it.
+    """
+
+    def __init__(self, f, n, column_names=None, yf=None):
+        self.f, self.n, self.column_names, self.yf = _read_only((f, n, column_names, yf))
+        self.step = None  # (the rotation setting, its step 1), set by pca._first_step
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.f, dtype=dtype, copy=copy)
+
+    @cached_property
+    def usv(self):
+        """The thin SVD (U, s, V') of F, the one LAPACK SVD of F, read-only:
+        its rank cut is the spectrum, and every backward selection on all
+        of F's columns seeds its fit from it."""
+        return _read_only(np.linalg.svd(self.f, full_matrices=False))
+
+    def spectrum(self):
+        """The (lambda, V) of ``svd(X)``: the rank cut of the SVD of F, with
+        X's n."""
+        return _rank_cut(self.usv, self.n)
+
+
+def _factor_of(x, column_names=None, y=None):
+    """The record (``_Factor``) of x: x itself when it is one, a
+    DataMatrix's kept record, or a new one of an array (with the given
+    names) or of a DataMatrix with a response y.
+
+    F is taken from one ``np.linalg.qr(X, mode="raw")``, bit for bit what
+    ``mode="r"`` gives, and [c; rho] by applying its Householder
+    reflectors to y - mean(y), so a response never changes F.
+    """
+    if isinstance(x, _Factor):
+        return x
+    if isinstance(x, DataMatrix) and y is None:
+        return x._factor
+    h, tau = np.linalg.qr(np.asarray(x, float), mode="raw")
+    k = tau.size
+    yf = None
+    if y is not None:
+        z = np.asarray(y, float) - np.mean(y)
+        # Q'z: reflector i is I - tau_i v v' on rows i:, with v = [1; h[i, i+1:]]
+        for i in range(k):
+            v = np.r_[1.0, h[i, i + 1:]]
+            z[i:] -= tau[i] * (v @ z[i:]) * v
+        yf = np.append(z[:k], np.linalg.norm(z[k:]))
+    # a DataMatrix with a response names its own columns
+    column_names = getattr(x, "column_names", column_names)
+    return _Factor(np.triu(h.T[:k]), h.shape[1], column_names, yf)
+
+
 def svd(x, n=None):
     """Singular values and right singular vectors of a matrix, rank-truncated.
 
     Returns (lambda, V) with non-increasing singular values, keeping only
     the r = numerical-rank pairs: those above max(n, p) * eps * lambda_1,
     with n the row count of the data x stands for, x's own by default. The
-    pipeline passes the triangular factor F of X = QF (Chan's R-SVD) and
-    X's n: F has X's singular values and right vectors, and X's rank.
+    pipeline reads the same cut off the triangular factor F of X = QF
+    (Chan's R-SVD) and X's n (``_Factor.spectrum``): F has X's singular
+    values and right vectors, and X's rank.
     """
     values = np.asarray(x, float)
     return _rank_cut(np.linalg.svd(values, full_matrices=False),

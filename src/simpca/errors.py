@@ -1,4 +1,14 @@
-"""Exception hierarchy shared by all simpca modules."""
+"""Exception hierarchy shared by all simpca modules.
+
+An error that names a cell or a column does so in the terms of the side
+that raised it. Raised by the library (``NonFiniteInput`` and
+``ZeroVarianceColumn`` from ``core.center_scale``, ``NonFiniteInput`` from
+``rotation.rotate``), ``row`` is the 0-based row index and ``col`` or
+``index`` the int column index, as the array is indexed. Raised by the CSV
+reader (``report.ingest_csv``) or the CLI, which raises the library's two
+again in the file's terms, ``row`` is the data row counted from 1, the
+header not counted, and ``col`` or ``index`` the column's header.
+"""
 
 
 class SimpcaError(Exception):

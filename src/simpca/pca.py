@@ -62,48 +62,41 @@ def fit_pca(x, d=None):
     0 raises ``RankExceeded``).
 
     The spectrum is that of the triangular factor F of X = QF, rank-cut
-    with X's n (``core.svd``); only the scores X V are formed in n-space.
-    A DataMatrix computes its factor and the SVD of it once and keeps them,
-    so every fit and pipeline on it reads the same ones; an array takes its
-    own QR and SVD per call. The CLI's ``pca`` command reads the same
-    spectrum off its own factor (``report.pca_report``) and never calls
-    this.
+    with X's n, read off the record of x (``core._factor_of``); only the
+    scores X V are formed in n-space. A DataMatrix keeps its record, so
+    every fit and pipeline on it reads the same SVD; an array takes its own
+    QR and SVD per call.
     """
-    values = np.asarray(x, float)
-    if isinstance(x, core.DataMatrix):
-        s, v = core._rank_cut(x._svd(), x.n)
-    else:
-        s, v = core.svd(np.linalg.qr(values, mode="r"), values.shape[0])
-    lam, v = _leading(s, v, d)
-    return PcaModel(v=v, lam=lam.copy(), scores=values @ v, vexp=lam**2)
+    lam, v = _leading(*core._factor_of(x).spectrum(), d)
+    return PcaModel(v=v, lam=lam.copy(), scores=np.asarray(x, float) @ v, vexp=lam**2)
 
 
 def _rotation_setting(config):
     """Every field of a pipeline config that ``_rotated_components`` reads,
-    which reads them from here: the key of the step 1 a DataMatrix keeps
-    (``sparse.run_simpca``)."""
+    which reads them from here: the key of the step 1 a record keeps
+    (``_first_step``)."""
     return (config.nr, config.coefficient_scaling, config.criterion, config.kaiser,
             config.rotation_tol, config.max_sweeps, config.restarts, config.seed)
 
 
-def _rotated_components(f, n, config, deflated=False, spectrum=None):
-    """The rotated components of the n x p data that the factor f stands
-    for: what ``rotate`` prints and each pipeline step starts from.
+def _rotated_components(rec, config, deflated=False):
+    """The rotated components of the data whose record (``core._Factor``)
+    is rec: what ``rotate`` prints and each pipeline step starts from.
 
-    One ``core.svd(f, n)``, or the ``spectrum`` it would give, gives the
-    data's numerical rank, cut at max(n, p) * eps * lambda_1, and its
-    first d principal components (``_leading``): d = nr, so nr above the
-    rank raises ``RankExceeded``, or on a ``deflated`` factor as many as
-    its smaller rank allows, up to nr. Their coefficients are rescaled by
-    ``config.coefficient_scaling`` and, for d >= 2, rotated by
-    ``config.criterion`` as it is, also when d < nr (an equamax criterion
-    keeps the c of nr). Returns (B, the F-space scores F B, the vexp of
-    the d principal components, and the ``RotationResult`` or None for
-    d = 1); the columns of B and of the scores are ordered by descending
-    variance explained (``vexp_of_component`` of the block), signs fixed.
+    The record's spectrum gives the data's numerical rank, cut at
+    max(n, p) * eps * lambda_1, and its first d principal components
+    (``_leading``): d = nr, so nr above the rank raises ``RankExceeded``,
+    or on a ``deflated`` factor as many as its smaller rank allows, up to
+    nr. Their coefficients are rescaled by ``config.coefficient_scaling``
+    and, for d >= 2, rotated by ``config.criterion`` as it is, also when
+    d < nr (an equamax criterion keeps the c of nr). Returns (B, the
+    F-space scores F B, the vexp of the d principal components, and the
+    ``RotationResult`` or None for d = 1); the columns of B and of the
+    scores are ordered by descending variance explained
+    (``vexp_of_component`` of the block), signs fixed.
     """
     nr, scaling, criterion, kaiser, tol, max_sweeps, restarts, seed = _rotation_setting(config)
-    s, v = core.svd(f, n) if spectrum is None else spectrum
+    s, v = rec.spectrum()
     lam, v = _leading(s, v, max(1, min(nr, s.size)) if deflated else nr)
     b = rescale_coefficients(v, scaling, lam=lam)
     result = None
@@ -111,20 +104,20 @@ def _rotated_components(f, n, config, deflated=False, spectrum=None):
         result = rotation.rotate(b, criterion, kaiser=kaiser, tol=tol, max_sweeps=max_sweeps,
                                  restarts=restarts, seed=seed)
         b = result.b
-    scores = f @ b
-    order = np.argsort(-vexp_of_component(f, scores), kind="stable")
+    scores = rec.f @ b
+    order = np.argsort(-vexp_of_component(rec.f, scores), kind="stable")
     b, signs = fix_signs(b[:, order])
     return b, scores[:, order] * signs, lam**2, result
 
 
-def _first_step(f, n, config, usv=None):
-    """Step 1 of a pipeline on the factor f of n-row data: (B, F B, the pca
-    vexp) of ``_rotated_components`` and usv, the thin SVD (U, s, V') of f,
-    taken here unless given. The spectrum is its rank cut, and backward
-    selection seeds its fit on all of f's columns from it
-    (``sparse._run``)."""
-    usv = np.linalg.svd(f, full_matrices=False) if usv is None else usv
-    return _rotated_components(f, n, config, spectrum=core._rank_cut(usv, n))[:3] + (usv,)
+def _first_step(rec, config):
+    """Step 1 of a pipeline on the record rec: ``_rotated_components`` of
+    the latest rotation setting, which the record keeps, so every pipeline
+    and ``rotate`` on it with that setting shares one rotation."""
+    key = _rotation_setting(config)
+    if rec.step is None or rec.step[0] != key:
+        rec.step = key, core._read_only(_rotated_components(rec, config))
+    return rec.step[1]
 
 
 def vexp_of_component(x, t):

@@ -5,11 +5,12 @@ per-component vexp / cvexp / rcvexp / cardinality / minimum contribution,
 signed percent contributions with per-variable Vifs within the support,
 component correlations, and optional external-response R^2.
 
-Every number is read off one triangular factor, R([X y]) = [F c; 0 rho]
-of the centered data X and the centered response y (c = Q_x'y), or F of
-X alone without a response. The total variance is ||F||_F^2, the Vifs
-and correlations depend on X only through F, and the R^2 of y on scores
-X W is that of (c, rho) on F W. No n-space array is read.
+Every number is read off the record of the data (``core._Factor``): the
+triangular factor F of the centered data X = Q_x F and, with a response,
+the last column [c; rho] of R([X y]) = [F c; 0 rho] for the centered
+response y (c = Q_x'y). The total variance is ||F||_F^2, the Vifs and
+correlations depend on X only through F, and the R^2 of y on scores X W
+is that of [c; rho] on [F W; 0]. No n-space array is read.
 """
 
 import csv
@@ -166,28 +167,28 @@ class AnalysisReport:
     response_r2: tuple  # R^2 for 1..nd components, empty without response
 
 
-def _response_r2(r, w):
+def _response_r2(yf, f, w):
     """R^2 of the response on the first k columns of the scores X W, for
-    k = 1 .. d, read off R([X y]) = [F c; 0 rho] as that of c on F W_k
-    (with rho); empty without r or when r is the factor of X alone (p
-    columns)."""
-    p = w.shape[0]
-    if r is None or r.shape[1] == p:
+    k = 1 .. d, read off R([X y]) = [F c; 0 rho] as that of its last
+    column yf = [c; rho] on [F W_k; 0]; empty without a response (yf
+    None)."""
+    if yf is None:
         return ()
-    t = r[:, :p] @ w
-    return tuple(core.r_squared(t[:, :k], r[:, p]) for k in range(1, w.shape[1] + 1))
+    t = np.vstack([f @ w, np.zeros(w.shape[1])])
+    return tuple(core.r_squared(t[:, :k], yf) for k in range(1, w.shape[1] + 1))
 
 
-def build_report(x, result, config_echo, r=None):
-    """Assemble an AnalysisReport from a pipeline result; x gives only the
-    column names.
+def build_report(x, result, config_echo):
+    """Assemble an AnalysisReport from a pipeline result on x. x, a
+    DataMatrix or the record the CLI reads (``core._Factor``), gives the
+    column names, and a record with a response also gives the response.
 
     Every number is read off a factor. Each support's Vifs come from the
     columns of the factor F the pipeline ran on (``result.factor``), since
     X_A'X_A = F_A'F_A, and the component correlations are the cosines of
     the F-space scores F W (X is centered, so their means are 0). The
-    response R^2 is read off r, R([X y]) of the data and its centered
-    response; there is none without r.
+    response R^2 is read off the record's [c; rho] and F; there is none
+    without a response.
     """
     total = result.total_variance
     w = np.zeros((len(x.column_names), len(result.components)))
@@ -227,31 +228,31 @@ def build_report(x, result, config_echo, r=None):
         pca_vexp_pct=tuple(100.0 * v / total for v in result.pca_vexp),
         components=tuple(comps),
         correlations=correlations,
-        response_r2=_response_r2(r, w),
+        # a DataMatrix has no response
+        response_r2=_response_r2(getattr(x, "yf", None), result.factor, w),
     )
 
 
-def pca_report(x, r, d, config_echo):
-    """PCA-only report: vexp spectrum, no sparse component blocks; d=None
-    reports every component up to the numerical rank.
+def pca_report(x, d, config_echo):
+    """PCA-only report of x, a DataMatrix or the record the CLI reads
+    (``core._factor_of``): vexp spectrum, no sparse component blocks;
+    d=None reports every component up to the numerical rank.
 
-    r is R([X y]) of the data and its centered response, or the factor F
-    of X alone: the spectrum is that of F = R[:p, :p], rank-cut with X's n,
-    the total variance ||F||_F^2, and the response R^2 that of the leading
-    principal directions V, read off r as in ``build_report``.
+    The spectrum is the record's, that of F rank-cut with X's n, the total
+    variance ||F||_F^2, and the response R^2 that of the leading principal
+    directions V, read off the record as in ``build_report``.
     """
-    p = len(x.column_names)
-    f = r[:p, :p]
-    total = float(np.sum(f**2))
-    lam, v = pca._leading(*core.svd(f, x.n), d)
+    rec = core._factor_of(x)
+    total = float(np.sum(rec.f**2))
+    lam, v = pca._leading(*rec.spectrum(), d)
     return AnalysisReport(
         config=dict(config_echo),
-        column_names=tuple(x.column_names),
+        column_names=tuple(rec.column_names),
         total_variance=total,
         pca_vexp_pct=tuple(100.0 * v / total for v in lam**2),
         components=(),
         correlations=(),
-        response_r2=_response_r2(r, v),
+        response_r2=_response_r2(rec.yf, rec.f, v),
     )
 
 

@@ -72,9 +72,9 @@ that one check covers every later step. A step whose best drop lies within
 _MARGIN of the runner-up or of alpha is too close for the downdated scores
 to call: it is retaken from a fresh SVD of the support, exactly as
 ``r2_add_drop`` scores it, which also seeds the state again. A support that
-cannot be certified takes a fresh SVD at every step. Given the SVD of x
-(``_WithSvd``), as the pipeline gives it the SVD of its factor, a fit on
-all of x's columns reads it instead of taking the same SVD again.
+cannot be certified takes a fresh SVD at every step. Given the record of
+a factor (``core._Factor``), as the pipeline gives it, a fit on all of its
+columns reads the SVD the record keeps instead of taking it again.
 
 Candidates are then scanned in order, as the per-candidate fits were: a
 later one wins only by more than _GAIN_EPS, so ties go to the lowest index
@@ -561,19 +561,6 @@ def _downdate(rr, beta, gram_inv, active, j):
     return rr + bj**2 / hjj, beta, gram_inv, active
 
 
-class _WithSvd:
-    """A matrix with its thin SVD usv = (U, s, V'), as
-    ``np.linalg.svd(values, full_matrices=False)`` gives it. Every strategy
-    takes it as the array ``values``; backward selection seeds its fit on
-    all the columns of values from usv instead of taking that SVD again."""
-
-    def __init__(self, values, usv):
-        self.values, self.usv = values, usv
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
-
-
 def backward_select(x, target, alpha):
     """Drop variables while the best remaining fit keeps R^2 >= alpha.
 
@@ -587,8 +574,9 @@ def backward_select(x, target, alpha):
     values = np.asarray(x, float)
     n, p = values.shape
     chosen = list(range(p)) if p <= n else list(forward_select(values, target, alpha).indices)
-    # the SVD of x, the one of the full support when that is where it starts
-    usv = x.usv if isinstance(x, _WithSvd) and p <= n else None
+    # the SVD a record of a factor keeps (``core._Factor.usv``), the one of
+    # the full support when that is where it starts
+    usv = getattr(x, "usv", None) if p <= n else None
     trace = [("+", i, None) for i in chosen]
     y = np.asarray(target, float)
     yy = float(y @ y)

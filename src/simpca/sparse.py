@@ -18,12 +18,13 @@ the triangular factor F of X = Q_x F (p x p, or n x p when n < p), for
 which ||Fu|| = ||Xu||, as Chan's R-SVD (TOMS 1982) does for the SVD: the
 SVDs, rotations, selections, sparsifiers and deflations all see F.
 Deflating F against the F-space scores F W gives the factor of X deflated
-against X W, with the same Q_x. ``_run`` takes F, n and step 1, which is
-how the CLI runs it; ``run_simpca`` takes X and forms only the final
-scores X W in n-space. One SVD of F gives its spectrum and seeds every
-backward selection's fit on all of F's columns. On a DataMatrix the one
-QR, that SVD and step 1 are taken once and kept, so every pipeline on it
-shares them; an array takes its own per call.
+against X W, with the same Q_x. ``_run`` takes the record of the data
+(``core._Factor``: F, n, the SVD of F and step 1), which is how the CLI
+runs it; ``run_simpca`` takes X and forms only the final scores X W in
+n-space. One SVD of F gives its spectrum and seeds every backward
+selection's fit on all of F's columns. A DataMatrix keeps its record, so
+every pipeline on it shares the one QR, that SVD and step 1; an array
+takes its own per call.
 """
 
 from dataclasses import dataclass, replace
@@ -271,15 +272,14 @@ def _sparsify(x, q, support, target, coefcol, method, accepted):
     return _plain_component(x, q, support, coefcol, target)
 
 
-def _run(f, n, config, first):
-    """The pipeline of ``run_simpca`` on the triangular factor f of the
-    n-row data, from its step 1 ``first``, (B, F B, the pca vexp, the thin
-    SVD of f) of ``pca._first_step``: every component keeps its F-space
-    scores F_A w, and the total variance is ||F||_F^2. Each backward
-    selection seeds its fit on all of f's columns from that SVD."""
-    q = f
-    b, targets, pca_vexp, usv = first
-    with_svd = selection._WithSvd(f, usv)
+def _run(rec, config):
+    """The pipeline of ``run_simpca`` on the record rec (``core._Factor``)
+    of the data, from the step 1 it keeps (``pca._first_step``): every
+    component keeps its F-space scores F_A w, and the total variance is
+    ||F||_F^2. Each backward selection seeds its fit on all of F's columns
+    from the record's SVD of F."""
+    f = q = rec.f
+    b, targets, pca_vexp, _ = pca._first_step(rec, config)
     accepted = []
     rotated_vexp = []
     for j in range(config.nd):
@@ -290,10 +290,11 @@ def _run(f, n, config, first):
             # oblique
             q = pca.deflate(f, np.column_stack(_scores(accepted)))
             if config.deflate:
-                b, targets, _, _ = pca._rotated_components(q, n, config, deflated=True)
+                b, targets, _, _ = pca._rotated_components(core._Factor(q, rec.n), config,
+                                                           deflated=True)
         col = 0 if config.deflate else j
         target = targets[:, col]
-        support = selection.select_support(with_svd, target, b[:, col], config.strategy)
+        support = selection.select_support(rec, target, b[:, col], config.strategy)
         accepted.append(_sparsify(f, q, support, target, b[:, col], config.method, accepted))
         rotated_vexp.append(pca.vexp_of_component(q, target))
 
@@ -320,26 +321,19 @@ def run_simpca(x, config):
     rank allows up to nr, and step j takes the leading one; without it,
     step j takes the j-th rotated component of X.
 
-    Every step runs on the triangular factor F of X = Q_x F (``_run``, see
-    the module docstring); each component's ``scores`` are then formed once
-    in n-space from its support and coefficients. A DataMatrix keeps F,
-    the SVD of F and the step-1 components of the latest rotation
-    setting, so pipelines run one after another on it share them (and
-    ``result.factor`` and ``result.pca_vexp`` are its read-only arrays);
-    an array takes its own QR, SVD and step 1 per call. Selection,
+    Every step runs on the triangular factor F of X = Q_x F, read off the
+    record of x (``core._factor_of``, ``_run``, see the module docstring);
+    each component's ``scores`` are then formed once in n-space from its
+    support and coefficients. A DataMatrix keeps its record, with F, the
+    SVD of F and the step-1 components of the latest rotation setting, so
+    pipelines run one after another on it share them; an array takes its
+    own QR, SVD and step 1 per call. ``result.factor`` and
+    ``result.pca_vexp`` are the record's read-only arrays. Selection,
     sparsification and deflation run per call, so the result has the same
     bits either way.
     """
+    result = _run(core._factor_of(x), config)
     values = np.asarray(x, float)
-    n = values.shape[0]
-    if isinstance(x, core.DataMatrix):
-        f = x._factor()
-        first = x._memo("first step", pca._rotation_setting(config),
-                        lambda: pca._first_step(f, n, config, x._svd()))
-    else:
-        f = np.linalg.qr(values, mode="r")
-        first = pca._first_step(f, n, config)
-    result = _run(f, n, config, first)
     return replace(result, components=tuple(
         replace(c, scores=values[:, list(c.support.indices)] @ c.coefficients)
         for c in result.components))

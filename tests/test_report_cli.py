@@ -22,9 +22,11 @@ from simpca.errors import (
     EmptyInput,
     MissingColumn,
     MissingValue,
+    NonFiniteInput,
     NonNumericCell,
     NotUtf8,
     RaggedRow,
+    ZeroVarianceColumn,
 )
 from simpca.report import (
     AnalysisReport,
@@ -87,13 +89,6 @@ def test_ingest_eurojobs_shape():
     assert "agriculture" in names
 
 
-def _factor(x, response=None):
-    """R([X y]) of x and the centered response, as the CLI takes it, or the
-    factor of x alone without a response."""
-    xy = x.values if response is None else np.column_stack([x.values, response - response.mean()])
-    return np.linalg.qr(xy, mode="r")
-
-
 def _small_report(response=None):
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((20, 5)) @ rng.standard_normal((5, 5))
@@ -105,7 +100,7 @@ def _small_report(response=None):
         criterion=RotationCriterion.varimax(),
     )
     result = run_simpca(x, cfg)
-    return x, build_report(x, result, {"seed": 0}, _factor(x, response))
+    return x, build_report(core._factor_of(x, y=response), result, {"seed": 0})
 
 
 def test_report_fields_consistent():
@@ -173,17 +168,20 @@ def _assert_factor_report_is_the_nspace_report(x, response, configs):
         y = response - response.mean()
         return [core.r_squared(scores[:, :k], y) for k in range(1, scores.shape[1] + 1)]
 
-    r = _factor(x, response)
-    rep = pca_report(x, r, 3, {})
+    rec = core._factor_of(x, y=response)
+    if response is not None:
+        # the last column [c; rho] of R([X y]), with rho = 0 when no row
+        # is left below F
+        assert rec.yf.shape == (min(x.n, x.p) + 1,) and (rec.yf[-1] == 0.0) == (x.n < x.p)
+    rep = pca_report(rec, 3, {})
     assert list(rep.response_r2) == pytest.approx(nspace_r2(pca.fit_pca(x, 3).scores), **close)
     assert rep.total_variance == pytest.approx(total, **close)
     for config in configs:
         want = run_simpca(x, config)
-        f = r[:x.p, :x.p]
-        got = sparse._run(f, x.n, config, pca._first_step(f, x.n, config))
+        got = sparse._run(rec, config)
         assert ([c.support.indices for c in got.components]
                 == [c.support.indices for c in want.components])
-        rep = build_report(x, got, {}, r)
+        rep = build_report(rec, got, {})
         scores = np.column_stack([c.scores for c in want.components])
         assert list(rep.response_r2) == pytest.approx(nspace_r2(scores), **close)
         assert rep.total_variance == pytest.approx(total, **close)
@@ -205,10 +203,80 @@ def test_report_read_off_the_factor_is_the_nspace_report():
                 EUROJOBS, response_column=response, id_column="country")
             x = center_scale(values, scale, names)
             _assert_factor_report_is_the_nspace_report(x, resp, configs)
-    for n, p in ((3000, 201), (25, 61)):
+    # n much above p, n below p (no row below F) and n = p + 1 (one row)
+    for n, p in ((3000, 201), (25, 61), (21, 21)):
         raw = _factor_model(n, p, 8, 1)
         x = center_scale(raw[:, :-1], "unit-variance")
         _assert_factor_report_is_the_nspace_report(x, raw[:, -1], configs[:4])
+
+
+@pytest.mark.parametrize("data", ["factor-model", "eurojobs"])
+def test_a_response_never_changes_a_component(data, tmp_path):
+    # every command reads F of X alone: a run with --response y has the
+    # bytes of the run that drops y as the id column, but for the config
+    # echo and the response R^2
+    if data == "eurojobs":
+        names, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
+        y = "finance"
+    else:
+        values = _factor_model(80, 21, 3, 0)
+        names = [f"v{j + 1}" for j in range(21)]
+        y = "v21"
+    np.savetxt(tmp_path / "data.csv", values, fmt="%.17g", delimiter=",",
+               header=",".join(names), comments="")
+    base = ["--input", str(tmp_path / "data.csv"), "--scale", "unit-variance",
+            "--format", "json"]
+    for argv in (["simpca", "--nr", "4", "--nd", "3", "--select", "backward", "--method",
+                  "cspca"], ["pca", "--nd", "0"]):
+        reports = []
+        for flag in ("--response", "--id-column"):
+            out = tmp_path / "out.json"
+            assert main(argv + base + [flag, y, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        with_y, without_y = reports
+        assert len(with_y["response_r2"]) == len(with_y["components"] or with_y["pca_vexp_pct"])
+        for rep in reports:
+            del rep["config"], rep["response_r2"]
+        assert with_y == without_y
+
+
+def test_error_attributes_name_a_cell_in_the_terms_of_the_side_that_raised_it(tmp_path):
+    # the library: a 0-based row and an int column, as the array is indexed
+    raw = np.array([[1.0, 2.0, 7.0], [3.0, np.inf, 7.0], [2.0, 1.0, 7.0]])
+    with pytest.raises(NonFiniteInput) as err:
+        center_scale(raw)
+    assert (err.value.row, err.value.col) == (1, 1)
+    with pytest.raises(ZeroVarianceColumn) as err:
+        center_scale(raw[[0, 2]], "unit-variance")
+    assert err.value.index == 2
+    # the CSV reader and the CLI: the data row counted from 1, and the header
+    with pytest.raises(MissingValue) as err:
+        ingest_csv(_write(tmp_path, "a,b,c\n1,2,7\n3,,7\n"))
+    assert (err.value.row, err.value.col) == (2, "b")
+    for text, scale, error, attributes in (
+            ("a,b,c\n1,2,7\n3,inf,7\n2,1,7\n", "none", NonFiniteInput, {"row": 2, "col": "b"}),
+            ("a,b,c\n1,2,7\n3,5,7\n2,1,7\n", "unit-variance", ZeroVarianceColumn,
+             {"index": "c"})):
+        args = cli.build_parser().parse_args(["pca", "--input", _write(tmp_path, text),
+                                              "--scale", scale, "--nd", "1"])
+        with pytest.raises(error) as err:
+            cli._load(args)
+        assert {name: getattr(err.value, name) for name in attributes} == attributes
+
+
+def test_a_report_on_a_data_matrix_factors_nothing(monkeypatch):
+    # the names come from x and F from the result, so a DataMatrix whose
+    # record was never built is not factored again for its report
+    x = center_scale(_factor_model(60, 6, 2, 0))
+    result = run_simpca(np.asarray(x), SimpcaPipelineConfig(
+        nd=2, nr=3, strategy=SelectionStrategy("forward", alpha=0.9)))
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("a QR ran")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    rep = build_report(x, result, {})
+    assert rep.column_names == x.column_names and rep.response_r2 == ()
 
 
 def test_report_response_block():
@@ -288,14 +356,14 @@ def _eurojobs_reports():
             EUROJOBS, response_column=response, id_column="country"
         )
         x = center_scale(values, scaling="unit-variance", column_names=names)
-        yield pca_report(x, _factor(x, resp), 4, {"nd": 4, "response": response})
+        yield pca_report(core._factor_of(x, y=resp), 4, {"nd": 4, "response": response})
         for method in ("pspca", "cspca", "uspca", "plain"):
             cfg = SimpcaPipelineConfig(
                 nd=3, nr=4, method=method,
                 strategy=SelectionStrategy(kind="forward", alpha=0.95),
             )
             echo = {"method": method, "alpha": 0.95, "kappa": None, "norm": "inf"}
-            yield build_report(x, run_simpca(x, cfg), echo, _factor(x, resp))
+            yield build_report(core._factor_of(x, y=resp), run_simpca(x, cfg), echo)
 
 
 def test_json_schema_matches_field_by_field_oracle():
@@ -325,13 +393,13 @@ def test_json_reads_the_report_in_place_with_the_bytes_of_its_deep_copy():
     names, values, _, resp = ingest_csv(EUROJOBS, response_column="finance",
                                         id_column="country")
     x = center_scale(values, "unit-variance", names)
-    reports = [pca_report(x, _factor(x, y), d, {"nd": d or 0, "response": y is not None})
+    reports = [pca_report(core._factor_of(x, y=y), d, {"nd": d or 0, "response": y is not None})
                for y in (None, resp) for d in (3, None)]
     for nd in (1, 3):
         config = SimpcaPipelineConfig(nd=nd, nr=4,
                                       strategy=SelectionStrategy("forward", alpha=0.95))
-        reports.append(build_report(x, run_simpca(x, config), {"nd": nd, "response": "finance"},
-                                    _factor(x, resp)))
+        reports.append(build_report(core._factor_of(x, y=resp), run_simpca(x, config),
+                                    {"nd": nd, "response": "finance"}))
     assert [len(r.components) for r in reports] == [0, 0, 0, 0, 1, 3]
     assert [len(r.response_r2) for r in reports] == [0, 0, 3, 8, 1, 3]
     for rep in reports:
@@ -358,7 +426,7 @@ def test_tsv_blocks():
 def test_pca_report_only():
     rng = np.random.default_rng(2)
     x = center_scale(rng.standard_normal((15, 4)))
-    rep = pca_report(x, _factor(x), 3, {"nd": 3})
+    rep = pca_report(x, 3, {"nd": 3})
     assert len(rep.pca_vexp_pct) == 3
     assert rep.components == ()
 
@@ -386,17 +454,30 @@ def test_cli_pca_tsv(tmp_path, capsys):
     assert "pc1\t81.5" in text
 
 
+def _lapack_svds(monkeypatch):
+    """A copy of every array that ``np.linalg.svd`` takes, in a list that
+    fills as they are taken."""
+    svd, seen = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return seen
+
+
 def test_cli_pca_nd_zero_takes_one_svd(tmp_path, monkeypatch):
-    svd = core.svd
-    calls = []
-    # core.svd takes the factor and the data's n
-    monkeypatch.setattr(core, "svd", lambda *args: calls.append(1) or svd(*args))
+    _, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
+    x = center_scale(values)
+    f = np.linalg.qr(x.values, mode="r")
+    rank = core.svd(x)[0].size
+    svds = _lapack_svds(monkeypatch)
     argv = ["pca", "--input", EUROJOBS, "--id-column", "country", "--scale", "none"]
     auto, fixed = tmp_path / "auto.tsv", tmp_path / "fixed.tsv"
     assert main(argv + ["--nd", "0", "--out", str(auto)]) == 0
-    assert len(calls) == 1
-    _, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
-    rank = svd(center_scale(values))[0].size
+    # the one LAPACK SVD of the run is that of the factor
+    assert len(svds) == 1 and np.array_equal(svds[0], f)
     assert main(argv + ["--nd", str(rank), "--out", str(fixed)]) == 0
     assert auto.read_bytes() == fixed.read_bytes()
 
@@ -719,19 +800,23 @@ def test_cli_checks_selection_flags_before_reading_the_input(tmp_path, capsys):
 
 
 def test_cli_reads_the_data_once_through_one_qr(tmp_path, monkeypatch):
-    # 200 x 5 features: after the one QR no command reads an array of n rows,
-    # and none goes through the library's n-space entry points
+    # 200 x 5 features: after the one QR, of X alone also with a response,
+    # no command reads an array of n rows, and none goes through the
+    # library's n-space entry points
     raw = _factor_model(200, 6, 2, 3)
     path = tmp_path / "tall.csv"
     np.savetxt(path, raw, delimiter=",", header="a,b,c,d,e,y", comments="")
-    qr, svd = np.linalg.qr, core.svd
-    qrs, svds = [], []
+    factors = {}
+    for response, p in ((None, 6), ("y", 5)):
+        values = ingest_csv(path, response_column=response)[1]
+        factors[p] = np.linalg.qr(center_scale(values, "unit-variance").values, mode="r")
+    qr, qrs = np.linalg.qr, []
 
     def no_nspace(*args):
         raise AssertionError("an n-space entry point ran")
 
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qrs.append(a.shape) or qr(a, mode))
-    monkeypatch.setattr(core, "svd", lambda f, n: svds.append((f.shape, n)) or svd(f, n))
+    svds = _lapack_svds(monkeypatch)
     monkeypatch.setattr(sparse, "run_simpca", no_nspace)
     monkeypatch.setattr(pca, "fit_pca", no_nspace)
     base = ["--input", str(path), "--scale", "unit-variance", "--out", str(tmp_path / "out")]
@@ -741,9 +826,11 @@ def test_cli_reads_the_data_once_through_one_qr(tmp_path, monkeypatch):
             qrs.clear()
             svds.clear()
             assert main(argv + base + response) == 0
-            assert qrs == [(200, 6)]
-            # every spectrum is that of the p x p factor, rank-cut with n
-            assert svds and set(svds) == {((p, p), 200)}
+            assert qrs == [(200, p)]
+            # one LAPACK SVD of the p x p factor gives the spectrum, and no
+            # SVD takes an array of n rows
+            assert sum(np.array_equal(a, factors[p]) for a in svds) == 1
+            assert max(a.shape[0] for a in svds) < 200
 
 
 def test_cli_rotate_has_no_format_flag(capsys):

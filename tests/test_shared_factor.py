@@ -26,7 +26,7 @@ from simpca import (
     run_simpca,
     selection,
 )
-from simpca.core import DataMatrix
+from simpca.core import DataMatrix, _factor_of
 from simpca.errors import SimpcaError
 from simpca.report import ingest_csv
 from simpca.selection import backward_select
@@ -285,6 +285,21 @@ def test_an_array_takes_its_own_qr_and_step_one_per_call(monkeypatch):
     assert seen["qr"].count(x.shape) == 6
     assert _svds_of(seen, np.linalg.qr(x, mode="r")) == 6
     assert seen["rotate"] == 3
+
+
+@pytest.mark.parametrize("n, p", [(80, 20), (26, 9), (21, 20), (9, 14), (3000, 200)])
+def test_the_record_holds_the_factor_of_x_bit_for_bit(n, p):
+    # one record per input: a DataMatrix keeps its own, an array or a
+    # response makes a new one, and each F has the bits of qr(X, mode="r")
+    x = random_data(np.random.default_rng(n), n=n, p=p)
+    f = np.linalg.qr(x.values, mode="r")
+    rec = _factor_of(x)
+    assert _factor_of(x) is rec and _factor_of(rec) is rec
+    y = np.random.default_rng(p).standard_normal(n)
+    for got in (rec, _factor_of(x.values), _factor_of(x, y=y)):
+        assert got.f.shape == f.shape and np.array_equal(got.f, f)
+        assert got.n == n and not got.f.flags.writeable
+    assert _factor_of(x, y=y).column_names == x.column_names
 
 
 def test_values_and_kept_arrays_are_read_only():

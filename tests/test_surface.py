@@ -121,7 +121,7 @@ def test_each_subcommand_takes_the_pinned_options():
 
 
 def _failing(exc):
-    def run(f, n, config, first):
+    def run(rec, config):
         raise exc
     return run
 
