@@ -222,7 +222,7 @@ def _cmd_simpca(args):
     )
     config = _config(args, args.nd, strategy, method=args.method, deflate=args.deflate)
     rec = _load(args)
-    rep = report.build_report(rec, sparse._run(rec, config), _echo(args))
+    rep = report.build_report(rec, sparse.run_simpca(rec, config), _echo(args))
     _write(report.emit(rep, args.format), args)
 
 

@@ -2,7 +2,8 @@
 
 Centering/scaling of raw observation matrices, SVD with numerical rank
 control, the one least-squares kernel behind every fit, R^2, deflation and
-null space (``_ls_svd``), add-one/drop-one R^2 and variance inflation.
+null space (``_ls_svd``), the one scorer of a fresh fit's add-one/drop-one
+R^2 (``_ls_scores``) and variance inflation.
 Everything here is a pure function of immutable inputs, but for the one
 record of the data's factor (``_Factor``) that every input kind is turned
 into, which keeps its SVD and step 1 on first use.
@@ -128,8 +129,10 @@ def center_scale(raw, scaling="none", column_names=None):
 
     Centering and scaling act column by column, so
     ``center_scale(raw[:, idx], ...)`` is the DataMatrix of the columns idx.
+    raw is read column-major, as the CSV reader returns it, so a C- and an
+    F-ordered raw of the same numbers give the same bits.
     """
-    raw = np.asarray(raw, dtype=float)
+    raw = np.asarray(raw, dtype=float, order="F")
     _check_shape(raw)
     n, p = raw.shape
     if n < 2:
@@ -191,13 +194,18 @@ def _factor_of(x, column_names=None, y=None):
 
     F is taken from one ``np.linalg.qr(X, mode="raw")``, bit for bit what
     ``mode="r"`` gives, and [c; rho] by applying its Householder
-    reflectors to y - mean(y), so a response never changes F.
+    reflectors to y - mean(y), so a response never changes F. X that is
+    not 2-d is a ``ConfigError``; a non-finite cell, which leaves F
+    non-finite, is ``NonFiniteInput`` of the first such cell in row order,
+    searched for only then.
     """
     if isinstance(x, _Factor):
         return x
     if isinstance(x, DataMatrix) and y is None:
         return x._factor
-    h, tau = np.linalg.qr(np.asarray(x, float), mode="raw")
+    values = np.asarray(x, float)
+    _check_shape(values)
+    h, tau = np.linalg.qr(values, mode="raw")
     k = tau.size
     yf = None
     if y is not None:
@@ -207,9 +215,12 @@ def _factor_of(x, column_names=None, y=None):
             v = np.r_[1.0, h[i, i + 1:]]
             z[i:] -= tau[i] * (v @ z[i:]) * v
         yf = np.append(z[:k], np.linalg.norm(z[k:]))
+    f = np.triu(h.T[:k])
+    if not np.isfinite(f).all():
+        _check_finite(values)
     # a DataMatrix with a response names its own columns
     column_names = getattr(x, "column_names", column_names)
-    return _Factor(np.triu(h.T[:k]), h.shape[1], column_names, yf)
+    return _Factor(f, h.shape[1], column_names, yf)
 
 
 def svd(x, n=None):
@@ -271,15 +282,6 @@ def _pinv_diag(s, v, null):
     return h
 
 
-def _ls_state(a, b, usv=None):
-    """Least-squares state of b on the columns of a from one ``_ls_svd``
-    (of usv, when given): (U_r, s_r, V_r, N, resid, beta) with
-    resid = b - U_r U_r'b and beta the minimum-norm coefficients."""
-    u, s, v, null = _ls_svd(a, usv)
-    uy = u.T @ b
-    return u, s, v, null, b - u @ uy, v @ (uy / s)
-
-
 def solve_ls(a, b):
     """Minimum-norm least-squares solution of a @ coef ~ b.
 
@@ -304,7 +306,8 @@ def r_squared(a, b):
     denom = float(b @ b)
     if denom == 0.0:
         return 0.0
-    resid = _ls_state(np.asarray(a, float), b)[4]
+    u = _ls_svd(np.asarray(a, float))[0]
+    resid = b - u @ (u.T @ b)
     return max(0.0, 1.0 - float(resid @ resid) / denom)
 
 
@@ -319,41 +322,54 @@ def _drop_r2(rr, beta, h, yy):
 def r2_add_drop(a, b, c=None):
     """R^2 of b on the columns of a with one column added or one dropped.
 
-    One SVD of a scores every neighbour of the support at once (see the
-    ``selection`` module docstring for the algebra). Returns (add, drop):
-    ``add[i]`` is the R^2 on a plus column i of c (None without c) and
-    ``drop[j]`` the R^2 on a without its column j, both as ``r_squared``
-    defines it, minimum-norm handling of collinear columns included.
+    One SVD of a scores every neighbour of the support at once
+    (``_ls_scores``). Returns (add, drop): ``add[i]`` is the R^2 on a plus
+    column i of c (None without c) and ``drop[j]`` the R^2 on a without its
+    column j, both as ``r_squared`` defines it, minimum-norm handling of
+    collinear columns included.
     """
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     c = None if c is None else np.asarray(c, float)
-    yy = float(b @ b)
-    if yy == 0.0:  # as in r_squared: a zero target has R^2 0 everywhere
+    if float(b @ b) == 0.0:  # as in r_squared: a zero target has R^2 0 everywhere
         return None if c is None else np.zeros(c.shape[1]), np.zeros(a.shape[1])
-    u, s, v, null, resid, beta = _ls_state(a, b)
+    return _ls_scores(a, b, c)[:2]
+
+
+def _ls_scores(a, b, c=None, usv=None):
+    """The one scorer of a fresh least-squares fit of a nonzero b on the
+    columns of a, from one ``_ls_svd`` (of usv, when given), with the
+    algebra of the ``selection`` module docstring.
+
+    Returns (add, drop, state): ``add[i]`` the R^2 with column i of c
+    added (None without c), ``drop[j]`` the R^2 without column j of a, and
+    state (U_r, s_r, V_r, h, resid, rr, beta, U_r'c, z, |z|^2) with
+    h_j = ((A'A)^+)_jj, resid = b - U_r U_r'b, rr = |resid|^2, beta the
+    minimum-norm coefficients and z = c - U_r U_r'c the residuals of c (the
+    last three None without c).
+    """
+    u, s, v, null = _ls_svd(a, usv)
+    uy = u.T @ b
+    resid = b - u @ uy
     rr = float(resid @ resid)
-    drop = _drop_r2(rr, beta, _pinv_diag(s, v, null), yy)
-    if c is None:
-        return None, drop
-    return _add_r2(u, s, resid, rr, yy, a.shape[1], c)[0], drop
-
-
-def _add_r2(u, s, resid, rr, yy, k, c):
-    """R^2 of b on the k columns of a plus each column of c, from the state
-    (U_r, s_r, resid, rr = |resid|^2) of b on a and yy = |b|^2. Returns
-    (add, U_r'c, z, |z|^2) with z = c - U_r U_r'c the residuals of c."""
-    uc = u.T @ c
-    z = c - u @ uc
-    zz = np.sum(z * z, axis=0)
-    # A column already in span(a) comes out of the projection as rounding
-    # of up to about 10 eps |c_i|: the cut for the k + 1 columns of the
-    # augmented matrix keeps such columns at gain 0.
-    scale = np.maximum(s[0] if s.size else 0.0, np.linalg.norm(c, axis=0))
-    new = np.sqrt(zz) > _LS_CUT * (k + 1) * scale
-    gain = np.zeros(c.shape[1])
-    gain[new] = (resid @ z[:, new]) ** 2 / zz[new]
-    return np.maximum(0.0, 1.0 - (rr - gain) / yy), uc, z, zz
+    beta = v @ (uy / s)
+    h = _pinv_diag(s, v, null)
+    yy = float(b @ b)
+    drop = _drop_r2(rr, beta, h, yy)
+    add = uc = z = zz = None
+    if c is not None:
+        uc = u.T @ c
+        z = c - u @ uc
+        zz = np.sum(z * z, axis=0)
+        # A column already in span(a) comes out of the projection as
+        # rounding of up to about 10 eps |c_i|: the cut for the k + 1
+        # columns of the augmented matrix keeps such columns at gain 0.
+        scale = np.maximum(s[0] if s.size else 0.0, np.linalg.norm(c, axis=0))
+        new = np.sqrt(zz) > _LS_CUT * (a.shape[1] + 1) * scale
+        gain = np.zeros(c.shape[1])
+        gain[new] = (resid @ z[:, new]) ** 2 / zz[new]
+        add = np.maximum(0.0, 1.0 - (rr - gain) / yy)
+    return add, drop, (u, s, v, h, resid, rr, beta, uc, z, zz)
 
 
 def vif(x, subset=None):

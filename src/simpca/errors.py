@@ -3,11 +3,13 @@
 An error that names a cell or a column does so in the terms of the side
 that raised it. Raised by the library (``NonFiniteInput`` and
 ``ZeroVarianceColumn`` from ``core.center_scale``, ``NonFiniteInput`` from
-``rotation.rotate``), ``row`` is the 0-based row index and ``col`` or
-``index`` the int column index, as the array is indexed. Raised by the CSV
-reader (``report.ingest_csv``) or the CLI, which raises the library's two
-again in the file's terms, ``row`` is the data row counted from 1, the
-header not counted, and ``col`` or ``index`` the column's header.
+the factor of an array or a DataMatrix that every pipeline, fit and report
+reads, and from ``rotation.rotate``), ``row`` is the 0-based row index
+and ``col`` or ``index`` the int column index, as the array is indexed.
+Raised by the CSV reader (``report.ingest_csv``) or the CLI, which raises
+the library's two again in the file's terms, ``row`` is the data row
+counted from 1, the header not counted, and ``col`` or ``index`` the
+column's header.
 """
 
 

@@ -20,8 +20,10 @@ h_i = ((X_A'X_A)^+)_ii:
   the span of the others has h_i = inf: dropping it leaves the span, and
   R^2, unchanged.
 
-``core.r2_add_drop`` takes all of these from one thin SVD of X_A at the
-cut of ``core._ls_svd``, and ``core.r_squared`` the R^2 of X_A itself.
+One function scores a fresh fit, ``core._ls_scores``: all of these from
+one thin SVD of X_A at the cut of ``core._ls_svd``, with the state they
+came from. ``core.r2_add_drop`` is its public face, and ``core.r_squared``
+takes the R^2 of X_A itself.
 Forward and stepwise selection instead carry the fit from step to step
 (``_Fit``): an orthonormal basis Q of span(X_A), r, the residuals Z of
 every column with their squared norms, Q'y, and the map W with
@@ -36,9 +38,9 @@ projected off every basis vector once, and a column is carried only
 while |z_i| >= |x_i| / _COND_MAX, so that pass loses at most a factor
 _COND_MAX of orthogonality and the second brings q back to eps.
 
-A carried step is certified, or retaken from a fresh SVD scored bit for
-bit as ``r2_add_drop`` scores it; a retaken addition also seeds the fit
-again. The carried scores stand when:
+A carried step is certified, or retaken from a fresh fit scored by
+``core._ls_scores``; a retaken addition also seeds the fit again from that
+fit's state. The carried scores stand when:
 
 - X_A has full rank and kappa_F = |X_A|_F |W|_F, an upper bound on
   sigma_1 / sigma_k, is at most _COND_MAX;
@@ -64,7 +66,8 @@ downdates the state in O(k^2), rr += beta_j^2 / H_jj,
 beta <- beta_-j - H_-j,j beta_j / H_jj and
 H <- H_-j,-j - H_-j,j H_j,-j / H_jj, in place on the full-size arrays
 with a mask of the active columns, and the next step scores the drops
-from it with the same formula. The state is seeded only from a support of
+from it with the same formula. The state is seeded from the one
+``core._ls_scores`` returns with those drops, and only from a support of
 full rank (so no column is in the span of the others) with
 sigma_1 / sigma_k at most _COND_MAX; the singular values of X_A less a
 column interlace those of X_A, so the condition number never grows and
@@ -93,11 +96,11 @@ and tied columns enter in index order.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _LS_CUT, _add_r2, _count, _drop_r2, _ls_state, _pinv_diag, r2_add_drop, r_squared
+from .core import _LS_CUT, _count, _drop_r2, _ls_scores, r2_add_drop, r_squared
 from .errors import ConfigError, EmptySupport, ExhaustedSchedule
 
 _GAIN_EPS = 1e-15
@@ -465,29 +468,20 @@ class _Fit:
         fresh score replaces the carried one in the trace as well."""
         if self._prev is not None and any(abs(best[1] - t) <= _MARGIN for t in stops):
             op, support, i = self._prev
-            if op == "-":
-                self.r2 = float(r2_add_drop(self.values[:, list(support)], self.y)[1][i])
-            else:
-                cand = [c for c in range(self.free.size) if c not in support]
-                self.r2 = float(self._adds(list(support), cand)[0][cand.index(i)])
+            cand = [c for c in range(self.free.size) if c not in support]
+            add, drop, _ = _ls_scores(self.values[:, list(support)], self.y,
+                                      self.values[:, cand] if op == "+" else None)
+            self.r2 = float(drop[i] if op == "-" else add[cand.index(i)])
             self.trace[-1] = self.trace[-1][:2] + (self.r2,)
             self._prev = None
         return best
-
-    def _adds(self, support, cand):
-        """The add scores of one SVD of the columns ``support`` for the
-        columns ``cand``, bit for bit as ``r2_add_drop`` gives them, and the
-        state they came from."""
-        u, s, v, _, resid, _ = _ls_state(self.values[:, support], self.y)
-        rr = float(resid @ resid)
-        add, uc, z, zz = _add_r2(u, s, resid, rr, self.yy, len(support), self.values[:, cand])
-        return add, (u, s, v, resid, rr, uc, z, zz)
 
     def _seed(self, cand):
         """The add scores of a fresh SVD of X_A for the free columns
         ``cand``, and the fit seeded from that SVD when X_A has full rank
         and is well conditioned."""
-        add, (u, s, v, resid, rr, uc, z, zz) = self._adds(self.chosen, cand)
+        add, _, (u, s, v, _, resid, rr, _, uc, z, zz) = _ls_scores(
+            self.values[:, self.chosen], self.y, self.values[:, cand])
         self.r, self.rr = resid, rr
         k = len(self.chosen)
         self.ok = s.size == k
@@ -531,15 +525,12 @@ def forward_select(x, target, alpha, max_cardinality=None):
     return SupportSet(indices=tuple(chosen), r2=fit.r2, trace=tuple(fit.trace))
 
 
-def _seed(a, y, yy, usv=None):
+def _seed(a, y, usv=None):
     """rr, the drop scores of the support a from one SVD (usv, when given),
     bit for bit those of ``r2_add_drop``, and the state (rr, beta, H,
     active) of y on a to downdate, or None when a is rank deficient or too
     ill-conditioned to downdate."""
-    _, s, v, null, resid, beta = _ls_state(a, y, usv)
-    h = _pinv_diag(s, v, null)
-    rr = float(resid @ resid)
-    drop = _drop_r2(rr, beta, h, yy)
+    _, drop, (_, s, v, h, _, rr, beta, *_) = _ls_scores(a, y, usv=usv)
     if s.size < a.shape[1] or s[0] > _COND_MAX * s[-1]:
         return rr, drop, None
     w = v / s
@@ -590,7 +581,7 @@ def backward_select(x, target, alpha):
             drop = _drop_r2(rr, beta[keep], gram_inv.diagonal()[keep], yy)
             best = _certified(drop, (alpha,))
         if best is None:  # the first step, or too close to call: a fresh SVD
-            rr, drop, state = _seed(values[:, chosen], y, yy, usv if len(chosen) == p else None)
+            rr, drop, state = _seed(values[:, chosen], y, usv if len(chosen) == p else None)
             keep = range(len(chosen))
             if r2 is None:  # as r_squared gives it from the same SVD
                 r2 = max(0.0, 1.0 - rr / yy)
@@ -663,10 +654,5 @@ def select_support(x, target, coefficients, strategy):
             strategy.max_cardinality,
         )
     if support.r2 is None and target is not None:
-        support = SupportSet(
-            indices=support.indices,
-            r2=r_squared(values[:, list(support.indices)], target),
-            trace=support.trace,
-            threshold_used=support.threshold_used,
-        )
+        support = replace(support, r2=r_squared(values[:, list(support.indices)], target))
     return support

@@ -13,18 +13,18 @@ already accepted. So on any fixed support CSPCA >= USPCA and
 CSPCA >= PSPCA by construction.
 
 Each of these quantities, like every selection R^2, depends on X only
-through the norms ||Xu||. So the pipeline (``_run``) runs every step on
-the triangular factor F of X = Q_x F (p x p, or n x p when n < p), for
-which ||Fu|| = ||Xu||, as Chan's R-SVD (TOMS 1982) does for the SVD: the
-SVDs, rotations, selections, sparsifiers and deflations all see F.
-Deflating F against the F-space scores F W gives the factor of X deflated
-against X W, with the same Q_x. ``_run`` takes the record of the data
-(``core._Factor``: F, n, the SVD of F and step 1), which is how the CLI
-runs it; ``run_simpca`` takes X and forms only the final scores X W in
-n-space. One SVD of F gives its spectrum and seeds every backward
-selection's fit on all of F's columns. A DataMatrix keeps its record, so
-every pipeline on it shares the one QR, that SVD and step 1; an array
-takes its own per call.
+through the norms ||Xu||. So the one pipeline, ``run_simpca``, runs every
+step on the triangular factor F of X = Q_x F (p x p, or n x p when
+n < p), for which ||Fu|| = ||Xu||, as Chan's R-SVD (TOMS 1982) does for
+the SVD: the SVDs, rotations, selections, sparsifiers and deflations all
+see F. Deflating F against the F-space scores F W gives the factor of X
+deflated against X W, with the same Q_x. It reads the record of the data
+(``core._Factor``: F, n, the SVD of F and step 1), which it is given
+directly by the CLI and builds from X otherwise, and forms only the final
+scores on what it was given: X W in n-space, or F W for a record. One SVD
+of F gives its spectrum and seeds every backward selection's fit on all
+of F's columns. A DataMatrix keeps its record, so every pipeline on it
+shares the one QR, that SVD and step 1; an array takes its own per call.
 """
 
 from dataclasses import dataclass, replace
@@ -42,8 +42,8 @@ class SparseComponent:
     """One accepted sparse component.
 
     ``coefficients`` holds the nonzero values over ``support.indices`` (with
-    sign); ``scores`` = selected columns @ coefficients, the columns of X
-    in what ``run_simpca`` returns and those of its factor F in ``_run``.
+    sign); ``scores`` = selected columns @ coefficients, the columns of
+    what ``run_simpca`` was given: X, or F for the record of a factor.
     ``vexp`` is against the full data, ``extra_vexp`` against the
     orthocomplement of previously accepted components. ``contributions``
     are signed percents of the unit-L1-scaled coefficient vector.
@@ -272,12 +272,34 @@ def _sparsify(x, q, support, target, coefcol, method, accepted):
     return _plain_component(x, q, support, coefcol, target)
 
 
-def _run(rec, config):
-    """The pipeline of ``run_simpca`` on the record rec (``core._Factor``)
-    of the data, from the step 1 it keeps (``pca._first_step``): every
-    component keeps its F-space scores F_A w, and the total variance is
-    ||F||_F^2. Each backward selection seeds its fit on all of F's columns
-    from the record's SVD of F."""
+def run_simpca(x, config):
+    """Run the full pipeline: PCA, rotation, per-component selection and
+    sparsification.
+
+    Step 1 takes the nr rotated components of X that the ``rotate``
+    command prints (``pca._rotated_components``), and raises
+    ``RankExceeded`` when nr exceeds the numerical rank of X. Step j
+    measures extra variance against the orthocomplement of the j
+    components accepted before it. With ``config.deflate`` the rotated
+    components are recomputed from that orthocomplement, as many as its
+    rank allows up to nr, and step j takes the leading one; without it,
+    step j takes the j-th rotated component of X.
+
+    Every step runs on the triangular factor F of X = Q_x F, read off the
+    record of x (``core._factor_of``, see the module docstring): x is X
+    (a DataMatrix or an array) or the record itself, as the CLI passes it.
+    Each component's ``scores`` are formed once, from its support and
+    coefficients, on ``np.asarray(x)``: X for data, F for a record. A
+    DataMatrix keeps its record, with F, the SVD of F and the step-1
+    components of the latest rotation setting, so pipelines run one after
+    another on it share them; an array takes its own QR, SVD and step 1
+    per call. ``result.factor`` and ``result.pca_vexp`` are the record's
+    read-only arrays, and the total variance is ||F||_F^2. Each backward
+    selection seeds its fit on all of F's columns from the record's SVD of
+    F. Selection, sparsification and deflation run per call, so the result
+    has the same bits either way.
+    """
+    rec = core._factor_of(x)
     f = q = rec.f
     b, targets, pca_vexp, _ = pca._first_step(rec, config)
     accepted = []
@@ -298,42 +320,14 @@ def _run(rec, config):
         accepted.append(_sparsify(f, q, support, target, b[:, col], config.method, accepted))
         rotated_vexp.append(pca.vexp_of_component(q, target))
 
+    values = np.asarray(x, float)
     return PipelineResult(
-        components=tuple(accepted),
+        components=tuple(
+            replace(c, scores=values[:, list(c.support.indices)] @ c.coefficients)
+            for c in accepted),
         rotated_vexp=np.asarray(rotated_vexp),
         pca_vexp=pca_vexp,
         total_variance=float(np.sum(f**2)),
         config=config,
         factor=f,
     )
-
-
-def run_simpca(x, config):
-    """Run the full pipeline: PCA, rotation, per-component selection and
-    sparsification.
-
-    Step 1 takes the nr rotated components of X that the ``rotate``
-    command prints (``pca._rotated_components``), and raises
-    ``RankExceeded`` when nr exceeds the numerical rank of X. Step j
-    measures extra variance against the orthocomplement of the j
-    components accepted before it. With ``config.deflate`` the rotated
-    components are recomputed from that orthocomplement, as many as its
-    rank allows up to nr, and step j takes the leading one; without it,
-    step j takes the j-th rotated component of X.
-
-    Every step runs on the triangular factor F of X = Q_x F, read off the
-    record of x (``core._factor_of``, ``_run``, see the module docstring);
-    each component's ``scores`` are then formed once in n-space from its
-    support and coefficients. A DataMatrix keeps its record, with F, the
-    SVD of F and the step-1 components of the latest rotation setting, so
-    pipelines run one after another on it share them; an array takes its
-    own QR, SVD and step 1 per call. ``result.factor`` and
-    ``result.pca_vexp`` are the record's read-only arrays. Selection,
-    sparsification and deflation run per call, so the result has the same
-    bits either way.
-    """
-    result = _run(core._factor_of(x), config)
-    values = np.asarray(x, float)
-    return replace(result, components=tuple(
-        replace(c, scores=values[:, list(c.support.indices)] @ c.coefficients)
-        for c in result.components))

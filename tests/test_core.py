@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from simpca import center_scale
+from simpca import SelectionStrategy, SimpcaPipelineConfig, center_scale, fit_pca, run_simpca
 from simpca.core import DataMatrix, r_squared, solve_ls, svd, vif
 from simpca.errors import ConfigError, NonFiniteInput, TooFewObservations, ZeroVarianceColumn
 
@@ -60,6 +60,54 @@ def test_center_scale_errors():
 def test_center_scale_takes_only_a_matrix(raw):
     with pytest.raises(ConfigError, match="expected a 2-d matrix"):
         center_scale(raw)
+
+
+_ENTRY_POINTS = {
+    "run_simpca": lambda x: run_simpca(x, SimpcaPipelineConfig(
+        nd=1, nr=2, strategy=SelectionStrategy("forward"))),
+    "fit_pca": fit_pca,
+}
+
+
+@pytest.mark.parametrize("kind", ["array", "DataMatrix"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_every_input_kind_names_its_first_non_finite_cell(entry, kind):
+    # the factor of the data is where every input kind is checked: a
+    # non-finite cell is NonFiniteInput of the first such cell in row
+    # order, 0-based as center_scale gives it, not numpy's LinAlgError
+    run = _ENTRY_POINTS[entry]
+    rng = np.random.default_rng(8)
+    for n, p in ((6, 4), (3, 5)):
+        base = rng.standard_normal((n, p))
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in range(n):
+                for j in range(p):
+                    x = base.copy()
+                    x[-1, -1] = np.nan  # a bad cell later in row order
+                    x[i, j] = bad
+                    data = x if kind == "array" else DataMatrix(x, tuple("abcde"[:p]))
+                    with pytest.raises(NonFiniteInput) as err:
+                        run(data)
+                    assert (err.value.row, err.value.col) == (i, j)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("x", [np.ones(4), np.ones((3, 2, 2)), 5.0])
+def test_every_entry_point_takes_only_a_matrix(entry, x):
+    with pytest.raises(ConfigError, match="expected a 2-d matrix"):
+        _ENTRY_POINTS[entry](x)
+
+
+def test_center_scale_reads_a_c_and_an_f_ordered_raw_alike():
+    # the CSV reader returns a column-major block, and the library is
+    # given C-ordered arrays: both give the same bits
+    rng = np.random.default_rng(9)
+    for n, p in ((200, 6), (26, 9), (5, 40)):
+        raw = rng.standard_normal((n, p)) * rng.uniform(0.1, 30.0, p) + rng.normal(0, 50, p)
+        for scaling in ("none", "unit-variance"):
+            c = center_scale(np.ascontiguousarray(raw), scaling)
+            f = center_scale(np.asfortranarray(raw), scaling)
+            assert c.values.tobytes() == f.values.tobytes()
 
 
 def test_center_scale_names_each_column_once():

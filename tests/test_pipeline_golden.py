@@ -65,20 +65,21 @@ def fingerprint(kind, deflate, method):
     ]
 
 
-def _same(ref, got):
+def _same(ref, got, atol=0.0):
+    """Floats within RTOL relative (or atol absolute), all else equal."""
     if isinstance(ref, float):
-        return isinstance(got, float) and got == pytest.approx(ref, rel=RTOL, abs=0.0)
+        return isinstance(got, float) and got == pytest.approx(ref, rel=RTOL, abs=atol)
     if isinstance(ref, list):
         return (
             isinstance(got, list)
             and len(ref) == len(got)
-            and all(_same(r, g) for r, g in zip(ref, got))
+            and all(_same(r, g, atol) for r, g in zip(ref, got))
         )
     if isinstance(ref, dict):
         return (
             isinstance(got, dict)
             and ref.keys() == got.keys()
-            and all(_same(ref[k], got[k]) for k in ref)
+            and all(_same(ref[k], got[k], atol) for k in ref)
         )
     return ref == got
 

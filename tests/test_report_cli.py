@@ -178,7 +178,7 @@ def _assert_factor_report_is_the_nspace_report(x, response, configs):
     assert rep.total_variance == pytest.approx(total, **close)
     for config in configs:
         want = run_simpca(x, config)
-        got = sparse._run(rec, config)
+        got = sparse.run_simpca(rec, config)
         assert ([c.support.indices for c in got.components]
                 == [c.support.indices for c in want.components])
         rep = build_report(rec, got, {})
@@ -815,9 +815,16 @@ def test_cli_reads_the_data_once_through_one_qr(tmp_path, monkeypatch):
     def no_nspace(*args):
         raise AssertionError("an n-space entry point ran")
 
+    run_simpca = sparse.run_simpca
+
+    def on_the_record(x, config):
+        # the pipeline is handed the record, never an array of n rows
+        assert isinstance(x, core._Factor)
+        return run_simpca(x, config)
+
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qrs.append(a.shape) or qr(a, mode))
     svds = _lapack_svds(monkeypatch)
-    monkeypatch.setattr(sparse, "run_simpca", no_nspace)
+    monkeypatch.setattr(sparse, "run_simpca", on_the_record)
     monkeypatch.setattr(pca, "fit_pca", no_nspace)
     base = ["--input", str(path), "--scale", "unit-variance", "--out", str(tmp_path / "out")]
     for response, p in (([], 6), (["--response", "y"], 5)):
@@ -831,6 +838,26 @@ def test_cli_reads_the_data_once_through_one_qr(tmp_path, monkeypatch):
             # SVD takes an array of n rows
             assert sum(np.array_equal(a, factors[p]) for a in svds) == 1
             assert max(a.shape[0] for a in svds) < 200
+
+
+def test_the_cli_and_the_library_factor_the_same_numbers_alike(tmp_path, monkeypatch):
+    # the CSV reader returns a column-major block; the library, given the
+    # C-ordered array of the same numbers, takes the same F bit for bit
+    raw = _factor_model(200, 6, 2, 3)
+    path = tmp_path / "tall.csv"
+    np.savetxt(path, raw, delimiter=",", header="a,b,c,d,e,f", comments="")
+    wants = {scale: core._factor_of(center_scale(np.ascontiguousarray(raw), scale)).f
+             for scale in ("none", "unit-variance")}
+    records, factor_of = [], core._factor_of
+    monkeypatch.setattr(core, "_factor_of", lambda *a, **k: records.append(factor_of(*a, **k))
+                        or records[-1])
+    for scale, want in wants.items():
+        records.clear()
+        assert main(["pca", "--input", str(path), "--scale", scale, "--nd", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        # one record, which every later step is handed again
+        assert records and all(r is records[0] for r in records)
+        assert records[0].f.tobytes() == want.tobytes()
 
 
 def test_cli_rotate_has_no_format_flag(capsys):

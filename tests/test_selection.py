@@ -15,7 +15,7 @@ from simpca import (
     forward_select,
     run_simpca,
 )
-from simpca import selection
+from simpca import core, selection
 from simpca.core import r2_add_drop, r_squared, svd, vif
 from simpca.errors import ConfigError, EmptySupport, ExhaustedSchedule
 from simpca.selection import (
@@ -718,32 +718,29 @@ def _assert_same_backward(x, target, alpha):
 @contextmanager
 def _counting_fit_steps():
     """Counts of the additions scored by the carried fit and of the fresh
-    SVDs the fit took (retaken additions, which reseed it, and retaken
-    removals)."""
+    SVDs the fit took (retaken additions, which reseed it, retaken
+    removals, and the fresh R^2 of a retaken step's stop), each a call of
+    the one scorer of a fresh fit or of its public wrapper."""
     counts = {"carried": 0, "fresh": 0}
-    carried, seed = selection._Fit._carried_addition, selection._Fit._seed
+    carried = selection._Fit._carried_addition
 
     def counted_carried(fit, stops):
         best = carried(fit, stops)
         counts["carried"] += best is not None
         return best
 
-    def counted_seed(fit, cand):
-        counts["fresh"] += 1
-        return seed(fit, cand)
-
-    def counted_r2_add_drop(*args):
-        counts["fresh"] += 1
-        return r2_add_drop(*args)
+    def counted(scorer):
+        def run(*args, **kwargs):
+            counts["fresh"] += 1
+            return scorer(*args, **kwargs)
+        return run
 
     selection._Fit._carried_addition = counted_carried
-    selection._Fit._seed = counted_seed
     try:
-        with _patched(r2_add_drop=counted_r2_add_drop):
+        with _patched(r2_add_drop=counted(r2_add_drop), _ls_scores=counted(core._ls_scores)):
             yield counts
     finally:
         selection._Fit._carried_addition = carried
-        selection._Fit._seed = seed
 
 
 def test_carried_selection_matches_per_step_loops_on_factor_data():

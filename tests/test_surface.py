@@ -129,7 +129,7 @@ def _failing(exc):
 def test_cli_svd_that_does_not_converge_is_a_numerical_failure(monkeypatch, capsys):
     # numpy's LinAlgError is also a ValueError, but not a configuration error
     exc = np.linalg.LinAlgError("SVD did not converge")
-    monkeypatch.setattr(sparse, "_run", _failing(exc))
+    monkeypatch.setattr(sparse, "run_simpca", _failing(exc))
     assert cli.main(ARGV) == 4
     out = capsys.readouterr()
     assert out.out == "" and out.err == "numerical failure: SVD did not converge\n"
@@ -139,6 +139,6 @@ def test_cli_svd_that_does_not_converge_is_a_numerical_failure(monkeypatch, caps
 def test_cli_gives_an_untyped_error_no_exit_code(exc, monkeypatch):
     # outside the three families an error is a fault of the package, and
     # no exit code would describe it
-    monkeypatch.setattr(sparse, "_run", _failing(exc))
+    monkeypatch.setattr(sparse, "run_simpca", _failing(exc))
     with pytest.raises(type(exc)):
         cli.main(ARGV)
