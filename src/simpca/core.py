@@ -299,16 +299,15 @@ def solve_ls(a, b):
 def r_squared(a, b):
     """Coefficient of determination of regressing b on the columns of a.
 
-    Both sides are assumed centered, so no intercept is fitted; the
-    residual is b - U_r U_r'b from ``_ls_svd``.
+    Both sides are assumed centered, so no intercept is fitted; R^2 is
+    1 - rr / |b|^2 with rr = |b - U_r U_r'b|^2 as the one scorer,
+    ``_ls_scores``, forms it.
     """
     b = np.asarray(b, float)
-    denom = float(b @ b)
-    if denom == 0.0:
+    yy = float(b @ b)
+    if yy == 0.0:
         return 0.0
-    u = _ls_svd(np.asarray(a, float))[0]
-    resid = b - u @ (u.T @ b)
-    return max(0.0, 1.0 - float(resid @ resid) / denom)
+    return max(0.0, 1.0 - _ls_scores(np.asarray(a, float), b)[2][5] / yy)
 
 
 def _drop_r2(rr, beta, h, yy):

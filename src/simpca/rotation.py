@@ -45,24 +45,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, _check_bool, _check_finite, _count
+from .core import EPS, _check_bool, _check_finite, _check_shape, _count
 from .errors import ConfigError
 
 
 @dataclass(frozen=True)
 class RotationCriterion:
     """family is 'crawford-ferguson' (param = kappa in [0, 1]) or
-    'orthomax' (param = c >= 0)."""
+    'orthomax' (param = c >= 0, finite). A param that is not a real number
+    (None, a string) is a ``ConfigError`` too, as in selection's checks."""
 
     family: str
     param: float
 
     def __post_init__(self):
+        real = isinstance(self.param, numbers.Real)
         if self.family == "crawford-ferguson":
-            if not 0.0 <= self.param <= 1.0:
+            if not (real and 0.0 <= self.param <= 1.0):
                 raise ConfigError("kappa must be in [0, 1]")
         elif self.family == "orthomax":
-            if not 0.0 <= self.param < math.inf:
+            if not (real and 0.0 <= self.param < math.inf):
                 raise ConfigError("c must be finite and >= 0")
         else:
             raise ConfigError(f"unknown criterion family {self.family!r}")
@@ -86,6 +88,8 @@ class RotationCriterion:
         """Orthomax with c = d / 2 for d rotated columns. c is fixed here:
         the pipeline builds the criterion once, from nr, and a deflated
         step that rotates fewer than nr columns keeps c = nr / 2."""
+        if not isinstance(d, numbers.Real):
+            raise ConfigError(f"equamax d {d!r} is not a number")
         return cls("orthomax", d / 2.0)
 
     @classmethod
@@ -286,11 +290,13 @@ def _random_orthogonal(d, rng):
     return q * np.sign(np.diag(r))
 
 
-def _check_settings(tol, max_sweeps, restarts, seed, kaiser):
-    """``ConfigError`` unless tol is finite and >= 0, max_sweeps and
-    restarts are integers >= 1, seed is an integer >= 0 and kaiser is a
-    bool: what ``rotate`` checks at entry, and the pipeline config when it
-    is built."""
+def _check_settings(criterion, tol, max_sweeps, restarts, seed, kaiser):
+    """``ConfigError`` unless criterion is a RotationCriterion, tol is
+    finite and >= 0, max_sweeps and restarts are integers >= 1, seed is an
+    integer >= 0 and kaiser is a bool: what ``rotate`` checks at entry, and
+    the pipeline config when it is built."""
+    if not isinstance(criterion, RotationCriterion):
+        raise ConfigError(f"criterion {criterion!r} is not a RotationCriterion")
     if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise ConfigError(f"rotation tol {tol!r} is not a finite number of at least 0")
     _count(max_sweeps, "max_sweeps")
@@ -322,10 +328,13 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     ``RotationResult.restart`` names the winner. The sweeps are a local
     search: with one restart, on input without a clear simple structure,
     they can stop in a worse optimum than a gradient-projection rotation
-    from the identity. A NaN or infinite entry raises ``NonFiniteInput``.
+    from the identity. A NaN or infinite entry raises ``NonFiniteInput``;
+    a criterion that is not a RotationCriterion, or an a that is not 2-d,
+    is a ``ConfigError``.
     """
-    _check_settings(tol, max_sweeps, restarts, seed, kaiser)
+    _check_settings(criterion, tol, max_sweeps, restarts, seed, kaiser)
     a = np.asarray(a, float)
+    _check_shape(a)
     p, d = a.shape
     _check_finite(a)
     if d < 2:
@@ -339,7 +348,6 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
     else:
         work = a
     kappa = criterion.kappa(p)
-    minimize = criterion.family == "crawford-ferguson"
 
     o_lanes = [np.eye(d)]
     if restarts > 1:
@@ -371,12 +379,10 @@ def rotate(a, criterion, kaiser=False, tol=1e-8, max_sweeps=1000, restarts=1, se
             # kept column-major, as ``_turn`` gathers from it
             rows, done = np.asfortranarray(rows[idx]), done[idx]
 
-    best = 0
-    for r in range(1, restarts):
-        if (minimize and traces[r][-1] < traces[best][-1]) or (
-            not minimize and traces[r][-1] > traces[best][-1]
-        ):
-            best = r
+    # the best final criterion, minimized for CF and maximized for
+    # Orthomax; index() takes the first, so a tie goes to the lower restart
+    finals = [t[-1] if criterion.family == "crawford-ferguson" else -t[-1] for t in traces]
+    best = finals.index(min(finals))
     b, o = b_lanes[best], o_lanes[best]
     if kaiser:
         b = b * row_norms[:, None]

@@ -252,9 +252,11 @@ def _tie_order(coefficients):
 
 def iterative_reverse_threshold(x, target, coefficients, alpha):
     """Add variables in descending |coefficient| order, tied values in
-    index order, until R^2 >= alpha."""
+    index order, until R^2 >= alpha. coefficients needs one entry per
+    column of x (``ConfigError`` otherwise)."""
     _check_alpha(alpha)
     values = np.asarray(x, float)
+    coefficients = _check_coefficients(coefficients, values.shape[1])
     chosen = []
     trace = []
     r2 = 0.0
@@ -291,6 +293,15 @@ NORMS = (1, 2, np.inf)
 def _check_norm(norm_m):
     if norm_m not in NORMS:
         raise ConfigError(f"unsupported norm {norm_m!r}")
+
+
+def _check_coefficients(coefficients, p):
+    """coefficients as a float vector; ``ConfigError`` unless it has one
+    entry per column of the p-column data it is read against."""
+    a = np.asarray(coefficients, float)
+    if a.shape != (p,):
+        raise ConfigError(f"coefficients of shape {a.shape} do not match the {p} columns")
+    return a
 
 
 def _check_threshold(t):
@@ -634,8 +645,12 @@ def stepwise_select(x, target, alpha, entry=1e-6, exit=1e-6, max_cardinality=Non
 
 
 def select_support(x, target, coefficients, strategy):
-    """Dispatch a SelectionStrategy against data, target and coefficients."""
+    """Dispatch a SelectionStrategy against data, target and coefficients.
+    A threshold kind needs one coefficient per column of x
+    (``ConfigError`` otherwise); the others do not read them."""
     values = np.asarray(x, float)
+    if strategy.kind in ("fixed-threshold", "adaptive-threshold"):
+        coefficients = _check_coefficients(coefficients, values.shape[1])
     if strategy.kind == "fixed-threshold":
         support = threshold_support(coefficients, strategy.threshold, strategy.norm_m)
     elif strategy.kind == "adaptive-threshold":

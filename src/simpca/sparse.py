@@ -12,6 +12,14 @@ constraints that its scores be orthogonal to those of the components
 already accepted. So on any fixed support CSPCA >= USPCA and
 CSPCA >= PSPCA by construction.
 
+The four sparsifiers differ only in the weights w they put on the support:
+the LS coefficients of the target (PSPCA), the LS-SPCA solve (CSPCA,
+USPCA) or the kept coefficients rescaled (plain). Each computes only w.
+One prologue (``_support_columns``) takes the support columns X_A and
+checks the support, and one builder (``_build``) forms the scores X_A w
+once and reads every number of the component off them, with q defaulting
+to X.
+
 Each of these quantities, like every selection R^2, depends on X only
 through the norms ||Xu||. So the one pipeline, ``run_simpca``, runs every
 step on the triangular factor F of X = Q_x F (p x p, or n x p when
@@ -84,14 +92,12 @@ class SimpcaPipelineConfig:
         # checked here, not after the QR and SVD
         if core._count(self.nr, "nr") < core._count(self.nd, "nd"):
             raise ConfigError("need 1 <= nd <= nr")
-        for name, kind in (("strategy", selection.SelectionStrategy),
-                           ("criterion", rotation.RotationCriterion)):
-            if not isinstance(getattr(self, name), kind):
-                raise ConfigError(f"{name} {getattr(self, name)!r} is not a {kind.__name__}")
+        if not isinstance(self.strategy, selection.SelectionStrategy):
+            raise ConfigError(f"strategy {self.strategy!r} is not a SelectionStrategy")
+        rotation._check_settings(self.criterion, self.rotation_tol, self.max_sweeps,
+                                 self.restarts, self.seed, self.kaiser)
         if self.coefficient_scaling not in pca.SCALINGS:
             raise ConfigError(f"unknown coefficient scaling {self.coefficient_scaling!r}")
-        rotation._check_settings(self.rotation_tol, self.max_sweeps, self.restarts, self.seed,
-                                 self.kaiser)
         core._check_bool(self.deflate, "deflate")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
@@ -116,38 +122,49 @@ def contributions(coefficients):
     return 100.0 * c / denom
 
 
-def _finish(x, q, support, coefficients, scores, method, target=None):
+def _support_columns(x, support):
+    """The prologue of every sparsifier: x as an array and its support
+    columns X_A. An empty support is ``EmptySupport``, and one with an
+    index that is not an integer in 0 .. p - 1 a ``ConfigError``: numpy
+    would read -1 as the last column, and bools as a mask."""
+    idx = np.asarray(support.indices)
+    if not idx.size:
+        raise EmptySupport()
+    values = np.asarray(x, float)
+    if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= values.shape[1]:
+        raise ConfigError(f"support {support.indices} is not within [0, {values.shape[1]})")
+    return values, values[:, idx]
+
+
+def _build(values, sub, support, w, method, q=None, target=None):
+    """The one builder of a SparseComponent from the weights w over the
+    support columns sub of values: forms the scores X_A w once and measures
+    them against values and against q (values when None), and against the
+    target, when given, as r2_vs_target."""
+    scores = sub @ w
     r2 = None
     if target is not None:
-        tt = float(target @ target)
         resid = target - scores
-        r2 = max(0.0, 1.0 - float(resid @ resid) / tt)
+        r2 = max(0.0, 1.0 - float(resid @ resid) / float(target @ target))
     return SparseComponent(
         support=support,
-        coefficients=np.asarray(coefficients, float),
-        scores=np.asarray(scores, float),
+        coefficients=w,
+        scores=scores,
         method=method,
-        vexp=pca.vexp_of_component(x, scores),
-        extra_vexp=pca.vexp_of_component(q, scores),
+        vexp=pca.vexp_of_component(values, scores),
+        extra_vexp=pca.vexp_of_component(values if q is None else q, scores),
         r2_vs_target=r2,
-        contributions=contributions(coefficients),
+        contributions=contributions(w),
     )
 
 
 def project_component(x, support, target, q=None):
     """PSPCA: least-squares projection of the target onto the support columns."""
-    if not support.indices:
-        raise EmptySupport()
+    values, sub = _support_columns(x, support)
     target = np.asarray(target, float)
     if float(target @ target) == 0.0:
         raise ZeroTarget()
-    values = np.asarray(x, float)
-    if q is None:
-        q = values
-    sub = values[:, list(support.indices)]
-    coef = core.solve_ls(sub, target)
-    scores = sub @ coef
-    return _finish(x, q, support, coef, scores, "pspca", target)
+    return _build(values, sub, support, core.solve_ls(sub, target), "pspca", q, target)
 
 
 def _leading_generalized_eigvec(a_mat, b_mat, gram, support):
@@ -183,11 +200,7 @@ def _ls_spca(x, q, support, method, previous=()):
     the least-squares cut (``core._ls_svd``). The problem is then solved
     for z in w = N z; the component depends only on the span of N.
     """
-    if not support.indices:
-        raise EmptySupport()
-    values = np.asarray(x, float)
-    qv = np.asarray(q, float)
-    sub = values[:, list(support.indices)]
+    values, sub = _support_columns(x, support)
     gram = sub.T @ sub
     span, b_mat = sub, gram
     if previous:
@@ -195,13 +208,13 @@ def _ls_spca(x, q, support, method, previous=()):
         if basis.shape[1] == 0:
             raise InfeasibleOrthogonality(len(support.indices), len(previous))
         span, b_mat = sub @ basis, basis.T @ gram @ basis
-    qx = qv.T @ span
+    qx = np.asarray(q, float).T @ span
     w = _leading_generalized_eigvec(qx.T @ qx, b_mat, gram, support)
     if previous:
         w = basis @ w
     w, _ = pca.fix_signs(w[:, None])
     w = w[:, 0] / np.linalg.norm(w)
-    return _finish(x, qv, support, w, sub @ w, method)
+    return _build(values, sub, support, w, method, q)
 
 
 def _scores(components):
@@ -227,11 +240,10 @@ def uspca_component(x, q, support, previous_components=()):
 
 def _plain_component(x, q, support, coefficients, target):
     """Keep the support's coefficients as they are, rescaled to unit L2."""
-    indices = list(support.indices)
-    coef = np.asarray(coefficients, float)[indices]
-    coef = coef / np.linalg.norm(coef)
-    scores = np.asarray(x, float)[:, indices] @ coef
-    return _finish(x, q, support, coef, scores, "plain-threshold", target)
+    values, sub = _support_columns(x, support)
+    coef = np.asarray(coefficients, float)[list(support.indices)]
+    return _build(values, sub, support, coef / np.linalg.norm(coef), "plain-threshold", q,
+                  target)
 
 
 def plain_threshold_component(x, coefficients, t, norm_m=2, q=None):
@@ -239,14 +251,13 @@ def plain_threshold_component(x, coefficients, t, norm_m=2, q=None):
 
     Surviving coefficients keep their original values (rescaled to unit L2)
     and are *not* recomputed; the variance explained is evaluated honestly
-    by projection, not assumed equal to the score norm.
+    by projection, not assumed equal to the score norm. coefficients needs
+    one entry per column of x (``ConfigError`` otherwise).
     """
-    support = selection.threshold_support(coefficients, t, norm_m)
     values = np.asarray(x, float)
-    target = values @ np.asarray(coefficients, float)
-    return _plain_component(
-        x, values if q is None else q, support, coefficients, target
-    )
+    coefficients = selection._check_coefficients(coefficients, values.shape[1])
+    support = selection.threshold_support(coefficients, t, norm_m)
+    return _plain_component(values, q, support, coefficients, values @ coefficients)
 
 
 def component_correlations(components):

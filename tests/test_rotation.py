@@ -68,6 +68,28 @@ def test_criterion_presets_and_validation():
         RotationCriterion("promax", 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: RotationCriterion.crawford_ferguson("0.5"),
+    lambda: RotationCriterion.crawford_ferguson(None),
+    lambda: RotationCriterion("orthomax", None),
+    lambda: RotationCriterion.equamax("4"),
+], ids=["cf-string", "cf-none", "orthomax-none", "equamax-string"])
+def test_criterion_parameter_that_is_not_a_number_is_a_config_error(build):
+    # not the TypeError of a comparison or of a division
+    with pytest.raises(ConfigError):
+        build()
+
+
+@pytest.mark.parametrize("a, criterion, problem", [
+    (np.ones((6, 3)), "varimax", "criterion 'varimax' is not a RotationCriterion"),
+    (np.ones(5), RotationCriterion.varimax(), "expected a 2-d matrix"),
+    (np.ones((2, 3, 4)), RotationCriterion.varimax(), "expected a 2-d matrix"),
+], ids=["name", "vector", "3-d"])
+def test_rotate_rejects_a_criterion_or_matrix_it_cannot_take(a, criterion, problem):
+    with pytest.raises(ConfigError, match=problem):
+        rotate(a, criterion)
+
+
 def test_orthomax_c_must_be_finite():
     # c < 0 is False for NaN; a NaN or infinite c would run every sweep and
     # return NaN coefficients

@@ -379,6 +379,20 @@ def test_select_support_dispatch_and_r2_fill():
         select_support(x, target, coefs, SelectionStrategy(kind="lasso"))
 
 
+@pytest.mark.parametrize("kind", ["fixed-threshold", "adaptive-threshold",
+                                  "iterative-reverse-threshold"])
+def test_coefficients_need_one_entry_per_column(kind):
+    # a 3-vector against 5 columns would pick a support of the first three
+    x = random_data(np.random.default_rng(15), n=12, p=5)
+    target = x.values @ np.ones(5)
+    strategy = SelectionStrategy(kind=kind, alpha=0.9, threshold=0.3)
+    for coefs in (np.ones(3), np.ones(6), np.ones((5, 1))):
+        with pytest.raises(ConfigError, match="do not match the 5 columns"):
+            select_support(x, target, coefs, strategy)
+    with pytest.raises(ConfigError, match="do not match the 5 columns"):
+        iterative_reverse_threshold(x, target, np.ones(3), 0.9)
+
+
 def test_unknown_selection_kind_fails_at_construction():
     # before run_simpca spends a PCA and a rotation on the configuration
     with pytest.raises(ValueError, match="unknown selection strategy 'bogus'"):

@@ -20,7 +20,7 @@ from simpca import (
     run_simpca,
     uspca_component,
 )
-from simpca import pca, rotation
+from simpca import pca, rotation, sparse
 from simpca.core import _ls_svd, r_squared
 from simpca.errors import ConfigError, EmptySupport, RankExceeded, SingularSubset, ZeroTarget
 from simpca.pca import deflate, vexp_of_component
@@ -263,6 +263,52 @@ def test_plain_threshold_component():
     )
     # vexp is evaluated honestly by projection of the data onto the scores
     assert comp.vexp == pytest.approx(vexp_of_component(x, comp.scores), rel=1e-10)
+
+
+def test_plain_threshold_coefficients_need_one_entry_per_column():
+    x = random_data(np.random.default_rng(7), n=18, p=5)
+    for coefs in (np.ones(3), np.ones(6)):
+        with pytest.raises(ConfigError, match="do not match the 5 columns"):
+            plain_threshold_component(x, coefs, 0.3)
+
+
+@pytest.mark.parametrize("method", sparse.METHODS)
+@pytest.mark.parametrize("indices", [(-1,), (0, -2), (5,), (1, 5), (1.0,), (True,), ("a",)])
+def test_support_index_outside_the_columns_is_a_config_error(method, indices):
+    # -1 would read the last column under a support naming -1; 5 is past
+    # the 5 columns; a bool would be a mask, and a float no index at all
+    x = random_data(np.random.default_rng(9), n=18, p=5)
+    model = fit_pca(x, 2)
+    target, coefs = model.scores[:, 0], model.v[:, 0]
+    with pytest.raises(ConfigError, match="is not within"):
+        sparse._sparsify(x, x.values, SupportSet(indices=indices), target, coefs, method,
+                         [model.scores[:, 1]])
+
+
+@pytest.mark.parametrize("with_q", [False, True])
+def test_built_component_reads_its_numbers_off_its_support_and_q(with_q):
+    # bit for bit: scores X_A w, extra vexp against q (X when q is None)
+    # and contributions of w, for PSPCA and plain thresholding, the two
+    # sparsifiers whose q defaults to X
+    names, values, _, _ = ingest_csv(EUROJOBS, id_column="country")
+    x = center_scale(values, "unit-variance", names)
+    model = fit_pca(x, 2)
+    q = deflate(x, model.scores[:, 1]) if with_q else None
+    kwargs = {"q": q} if with_q else {}
+    comps = [
+        project_component(x, SupportSet(indices=(0, 3, 5)), model.scores[:, 0], **kwargs),
+        plain_threshold_component(x, model.v[:, 0], 0.3, **kwargs),
+    ]
+    for comp in comps:
+        assert np.array_equal(comp.scores,
+                              x.values[:, list(comp.support.indices)] @ comp.coefficients)
+        assert comp.extra_vexp == vexp_of_component(x if q is None else q, comp.scores)
+        assert comp.vexp == vexp_of_component(x, comp.scores)
+        assert np.array_equal(comp.contributions, contributions(comp.coefficients))
+    if with_q:
+        assert all(c.extra_vexp < c.vexp for c in comps)
+    else:
+        assert all(c.extra_vexp == c.vexp for c in comps)
 
 
 def test_component_correlations_matrix():
