@@ -167,49 +167,38 @@ def project_component(x, support, target, q=None):
     return _build(values, sub, support, core.solve_ls(sub, target), "pspca", q, target)
 
 
-def _leading_generalized_eigvec(a_mat, b_mat, gram, support):
-    """Leading eigenvector of a w = mu b w via symmetric whitening of b.
-
-    b is singular when its smallest eigenvalue is within rounding of the
-    support's own scale, the largest diagonal entry of its Gram matrix
-    X_A'X_A. (For USPCA, b is X_A'X_A restricted to the feasible
-    directions; when those lie in null(X_A), b is itself round-off and
-    cannot set its own scale.)
-    """
-    b_mat = (b_mat + b_mat.T) / 2.0
-    evals, evecs = np.linalg.eigh(b_mat)
-    tol = b_mat.shape[0] * EPS * max(float(np.diag(gram).max()), EPS)
-    if evals[0] <= tol:
-        raise SingularSubset(support.indices)
-    white = evecs / np.sqrt(evals)
-    m = white.T @ a_mat @ white
-    m = (m + m.T) / 2.0
-    mvals, mvecs = np.linalg.eigh(m)
-    return white @ mvecs[:, -1]
-
-
 def _ls_spca(x, q, support, method, previous=()):
     """LS-SPCA: the weights w over the support columns X_A that maximize
     the extra variance explained ||Q'X_A w||^2 / ||X_A w||^2.
 
     That is the generalized eigenproblem (X_A'QQ'X_A) w = mu (X_A'X_A) w,
-    with mu the component's extra vexp. Given the score vectors of earlier
+    with mu the component's extra vexp, solved without forming X_A'X_A:
+    with the thin SVD X_A = U S V' of the least-squares kernel
+    (``core._ls_svd``) and u = S V'w, the quotient is ||Q'U u||^2 / ||u||^2,
+    so u is the leading right singular vector of Q'U and w = V S^-1 u. An
+    SVD squares no condition number, as a Gram matrix does. The support is
+    singular when the kernel cuts a singular value, or the smallest s_m has
+    s_m^2 within rounding of the support's own scale, m eps times its
+    largest column sum of squares. Given the score vectors of earlier
     components, w is restricted to the feasible basis N, the weights whose
     scores are orthogonal to all of them: the null space of the constraint
     block C (row i: t_i' X_A), the null-space block of V in the SVD of C at
-    the least-squares cut (``core._ls_svd``). The problem is then solved
-    for z in w = N z; the component depends only on the span of N.
+    the least-squares cut. The problem is then solved on X_A N for z in
+    w = N z; the component depends only on the span of N. (When N lies in
+    null(X_A), X_A N is round-off and cannot set its own scale.)
     """
     values, sub = _support_columns(x, support)
-    gram = sub.T @ sub
-    span, b_mat = sub, gram
+    span = sub
     if previous:
         basis = core._ls_svd(np.vstack([t @ sub for t in previous]))[3]
         if basis.shape[1] == 0:
             raise InfeasibleOrthogonality(len(support.indices), len(previous))
-        span, b_mat = sub @ basis, basis.T @ gram @ basis
-    qx = np.asarray(q, float).T @ span
-    w = _leading_generalized_eigvec(qx.T @ qx, b_mat, gram, support)
+        span = sub @ basis
+    u, s, v, _ = core._ls_svd(span)
+    m = span.shape[1]
+    if s.size < m or s[-1] ** 2 <= m * EPS * max(float(np.sum(sub**2, axis=0).max()), EPS):
+        raise SingularSubset(support.indices)
+    w = v @ (np.linalg.svd(np.asarray(q, float).T @ u, full_matrices=False)[2][0] / s)
     if previous:
         w = basis @ w
     w, _ = pca.fix_signs(w[:, None])
