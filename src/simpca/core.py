@@ -46,6 +46,18 @@ def _check_finite(values):
         raise NonFiniteInput(int(row), int(col))
 
 
+def _check_target(y, n):
+    """y as a float vector; ``ConfigError`` for any shape (None's
+    included) but one entry per row of the n-row data it is read against,
+    and ``NonFiniteInput`` (the entry's row, column 0) for a non-finite
+    entry."""
+    y = np.asarray(y, float)
+    if y.shape != (n,):
+        raise ConfigError(f"target of shape {y.shape} does not match the {n} rows")
+    _check_finite(y[:, None])
+    return y
+
+
 def _read_only(value):
     """value, an array or a tuple, with each array in it made read-only."""
     for a in value if isinstance(value, tuple) else (value,):
@@ -301,13 +313,15 @@ def r_squared(a, b):
 
     Both sides are assumed centered, so no intercept is fitted; R^2 is
     1 - rr / |b|^2 with rr = |b - U_r U_r'b|^2 as the one scorer,
-    ``_ls_scores``, forms it.
+    ``_ls_scores``, forms it. b is a finite vector with one entry per row
+    of a (``_check_target``).
     """
-    b = np.asarray(b, float)
+    a = np.asarray(a, float)
+    b = _check_target(b, a.shape[0])
     yy = float(b @ b)
     if yy == 0.0:
         return 0.0
-    return max(0.0, 1.0 - _ls_scores(np.asarray(a, float), b)[2][5] / yy)
+    return max(0.0, 1.0 - _ls_scores(a, b)[2][5] / yy)
 
 
 def _drop_r2(rr, beta, h, yy):

@@ -4,8 +4,11 @@ An error that names a cell or a column does so in the terms of the side
 that raised it. Raised by the library (``NonFiniteInput`` and
 ``ZeroVarianceColumn`` from ``core.center_scale``, ``NonFiniteInput`` from
 the factor of an array or a DataMatrix that every pipeline, fit and report
-reads, and from ``rotation.rotate``), ``row`` is the 0-based row index
-and ``col`` or ``index`` the int column index, as the array is indexed.
+reads, from ``rotation.rotate``, and from a target that a selection, a
+projection or ``core.r_squared`` reads), ``row`` is the 0-based row index
+and ``col`` or ``index`` the int column index, as the array is indexed. A
+target is a vector, read as a one-column matrix: ``row`` is the index of
+its entry and ``col`` is 0.
 Raised by the CSV reader (``report.ingest_csv``) or the CLI, which raises
 the library's two again in the file's terms, ``row`` is the data row
 counted from 1, the header not counted, and ``col`` or ``index`` the
@@ -86,8 +89,8 @@ class SingularSubset(NumericalError):
     def __init__(self, indices):
         self.indices = list(indices)
         super().__init__(
-            f"selected columns {self.indices} are collinear; the denominator "
-            "matrix of the generalized eigenproblem is singular"
+            f"selected columns {self.indices} are collinear: their smallest "
+            "singular value is within rounding of zero"
         )
 
 

@@ -100,7 +100,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _LS_CUT, _count, _drop_r2, _ls_scores, r2_add_drop, r_squared
+from .core import _LS_CUT, _check_target, _count, _drop_r2, _ls_scores, r2_add_drop, r_squared
 from .errors import ConfigError, EmptySupport, ExhaustedSchedule
 
 _GAIN_EPS = 1e-15
@@ -343,7 +343,7 @@ class _Fit:
 
     def __init__(self, values, y):
         self.values = values
-        self.y = np.asarray(y, float)
+        self.y = _check_target(y, values.shape[0])
         self.yy = float(self.y @ self.y)
         n, p = values.shape
         m = min(n, p)
@@ -580,7 +580,7 @@ def backward_select(x, target, alpha):
     # the full support when that is where it starts
     usv = getattr(x, "usv", None) if p <= n else None
     trace = [("+", i, None) for i in chosen]
-    y = np.asarray(target, float)
+    y = _check_target(target, n)
     yy = float(y @ y)
     r2 = state = None
     # a zero target has R^2 0 on every support, below any alpha

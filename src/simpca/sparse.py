@@ -6,11 +6,12 @@ A sparse component is always a combination of selected *original* columns,
 t = Xdot @ w. Its extra variance explained is measured against the
 orthocomplement Q of the previously accepted components (Q_1 = X):
 ||Q't||^2 / t't. The two LS variants are one LS-SPCA solve, which
-maximizes exactly that quotient over the support: CSPCA is the solve with
-no constraint basis, and USPCA the same solve on the null space of the
-constraints that its scores be orthogonal to those of the components
-already accepted. So on any fixed support CSPCA >= USPCA and
-CSPCA >= PSPCA by construction.
+maximizes exactly that quotient over the support, from the least-squares
+kernel's SVD of the support columns (``core._ls_svd``), never their Gram
+matrix: CSPCA is the solve with no constraint basis, and USPCA the same
+solve on the null space of the constraints that its scores be orthogonal
+to those of the components already accepted. So on any fixed support
+CSPCA >= USPCA and CSPCA >= PSPCA by construction.
 
 The four sparsifiers differ only in the weights w they put on the support:
 the LS coefficients of the target (PSPCA), the LS-SPCA solve (CSPCA,
@@ -125,14 +126,17 @@ def contributions(coefficients):
 def _support_columns(x, support):
     """The prologue of every sparsifier: x as an array and its support
     columns X_A. An empty support is ``EmptySupport``, and one with an
-    index that is not an integer in 0 .. p - 1 a ``ConfigError``: numpy
-    would read -1 as the last column, and bools as a mask."""
+    index that is not an integer in 0 .. p - 1, or an index repeated, a
+    ``ConfigError``: numpy would read -1 as the last column, bools as a
+    mask, and a repeat as a second column of its own."""
     idx = np.asarray(support.indices)
     if not idx.size:
         raise EmptySupport()
     values = np.asarray(x, float)
     if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= values.shape[1]:
         raise ConfigError(f"support {support.indices} is not within [0, {values.shape[1]})")
+    if len(set(idx.tolist())) < idx.size:
+        raise ConfigError(f"support {support.indices} repeats an index")
     return values, values[:, idx]
 
 
@@ -161,7 +165,7 @@ def _build(values, sub, support, w, method, q=None, target=None):
 def project_component(x, support, target, q=None):
     """PSPCA: least-squares projection of the target onto the support columns."""
     values, sub = _support_columns(x, support)
-    target = np.asarray(target, float)
+    target = core._check_target(target, values.shape[0])
     if float(target @ target) == 0.0:
         raise ZeroTarget()
     return _build(values, sub, support, core.solve_ls(sub, target), "pspca", q, target)
@@ -176,16 +180,20 @@ def _ls_spca(x, q, support, method, previous=()):
     with the thin SVD X_A = U S V' of the least-squares kernel
     (``core._ls_svd``) and u = S V'w, the quotient is ||Q'U u||^2 / ||u||^2,
     so u is the leading right singular vector of Q'U and w = V S^-1 u. An
-    SVD squares no condition number, as a Gram matrix does. The support is
-    singular when the kernel cuts a singular value, or the smallest s_m has
-    s_m^2 within rounding of the support's own scale, m eps times its
-    largest column sum of squares. Given the score vectors of earlier
-    components, w is restricted to the feasible basis N, the weights whose
-    scores are orthogonal to all of them: the null space of the constraint
-    block C (row i: t_i' X_A), the null-space block of V in the SVD of C at
-    the least-squares cut. The problem is then solved on X_A N for z in
-    w = N z; the component depends only on the span of N. (When N lies in
-    null(X_A), X_A N is round-off and cannot set its own scale.)
+    SVD does not square the condition number, as a Gram matrix does.
+
+    Given the score vectors of earlier components, w is restricted to the
+    feasible basis N, the weights whose scores are orthogonal to all of
+    them: the null space of the constraint block C (row i: t_i' X_A), the
+    null-space block of V in the SVD of C at the least-squares cut. The
+    same solve then runs on the m columns of X_A N, for z in w = N z; the
+    component depends only on the span of N.
+
+    The m columns solved on are singular (``SingularSubset``) when the
+    kernel cuts a singular value, or when the smallest, s_m, has s_m^2
+    within rounding of the support's own scale: m eps times the largest
+    column sum of squares of X_A. That scale is X_A's under USPCA too, as
+    when N lies in null(X_A), X_A N is round-off and cannot set its own.
     """
     values, sub = _support_columns(x, support)
     span = sub

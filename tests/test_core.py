@@ -250,6 +250,20 @@ def test_r_squared_zero_target():
     assert r_squared(np.ones((5, 1)), np.zeros(5)) == 0.0
 
 
+def test_r_squared_target_must_be_a_finite_vector_with_one_entry_per_row():
+    # a NaN target had R^2 0, and a target of the wrong length raised
+    # numpy's own ValueError
+    a = np.random.default_rng(17).standard_normal((6, 2))
+    b = np.ones(6)
+    b[2] = np.nan
+    with pytest.raises(NonFiniteInput) as err:
+        r_squared(a, b)
+    assert (err.value.row, err.value.col) == (2, 0)
+    for b in (np.ones(5), np.ones((6, 1)), None):
+        with pytest.raises(ConfigError, match="does not match the 6 rows"):
+            r_squared(a, b)
+
+
 def test_vif_rescaling_invariance():
     rng = np.random.default_rng(6)
     x = random_data(rng, n=25, p=6)

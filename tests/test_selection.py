@@ -17,7 +17,7 @@ from simpca import (
 )
 from simpca import core, selection
 from simpca.core import r2_add_drop, r_squared, svd, vif
-from simpca.errors import ConfigError, EmptySupport, ExhaustedSchedule
+from simpca.errors import ConfigError, EmptySupport, ExhaustedSchedule, NonFiniteInput
 from simpca.selection import (
     adaptive_threshold_support,
     backward_select,
@@ -391,6 +391,27 @@ def test_coefficients_need_one_entry_per_column(kind):
             select_support(x, target, coefs, strategy)
     with pytest.raises(ConfigError, match="do not match the 5 columns"):
         iterative_reverse_threshold(x, target, np.ones(3), 0.9)
+
+
+@pytest.mark.parametrize("kind", selection.KINDS)
+def test_target_must_be_a_finite_vector_with_one_entry_per_row(kind):
+    # a NaN target scored every support at R^2 0; a target of the wrong
+    # length, or none under a regression kind, was numpy's own ValueError
+    x = random_data(np.random.default_rng(16), n=12, p=5)
+    coefs = np.ones(5)
+    strategy = SelectionStrategy(kind=kind, alpha=0.9, threshold=0.3)
+    for value, row in ((np.nan, 3), (np.inf, 0), (-np.inf, 11)):
+        target = x.values @ coefs
+        target[row] = value
+        with pytest.raises(NonFiniteInput) as err:
+            select_support(x, target, coefs, strategy)
+        assert (err.value.row, err.value.col) == (row, 0)
+    bad = [np.ones(11), np.ones(13), np.ones((12, 1))]
+    if kind not in ("fixed-threshold", "adaptive-threshold"):  # a threshold needs no target
+        bad.append(None)
+    for target in bad:
+        with pytest.raises(ConfigError, match="does not match the 12 rows"):
+            select_support(x, target, coefs, strategy)
 
 
 def test_unknown_selection_kind_fails_at_construction():

@@ -22,7 +22,14 @@ from simpca import (
 )
 from simpca import pca, rotation, sparse
 from simpca.core import _ls_svd, r_squared
-from simpca.errors import ConfigError, EmptySupport, RankExceeded, SingularSubset, ZeroTarget
+from simpca.errors import (
+    ConfigError,
+    EmptySupport,
+    NonFiniteInput,
+    RankExceeded,
+    SingularSubset,
+    ZeroTarget,
+)
 from simpca.pca import deflate, vexp_of_component
 from simpca.selection import SupportSet
 from simpca.report import ingest_csv
@@ -114,6 +121,26 @@ def test_cspca_matches_explicit_generalized_eigen_oracle():
         for _ in range(20):
             w = rng.standard_normal(len(sup.indices))
             assert comp.extra_vexp >= vexp_of_component(x, sub @ w) - 1e-8
+
+
+def test_cspca_weights_are_accurate_on_an_ill_conditioned_support():
+    # X_A = U S V' with kappa = 1e6 and Q = U G P', so Q'X_A w = P G'S V'w:
+    # the exact weights are V S^-1 u, u the leading right singular vector
+    # of G'. A solve that forms X_A'X_A squares kappa and loses them.
+    s = np.logspace(0, -6, 4)
+    worst = 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((30, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        p, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+        g = rng.standard_normal((4, 4))
+        exact = v @ (np.linalg.svd(g.T)[2][0] / s)
+        exact /= np.linalg.norm(exact)
+        comp = cspca_component((u * s) @ v.T, u @ g @ p.T, SupportSet(indices=(0, 1, 2, 3)))
+        w = comp.coefficients * np.sign(comp.coefficients @ exact)
+        worst = max(worst, np.linalg.norm(w - exact))
+    assert worst <= 1e-9
 
 
 def test_cspca_is_uspca_without_earlier_components():
@@ -283,6 +310,33 @@ def test_support_index_outside_the_columns_is_a_config_error(method, indices):
     with pytest.raises(ConfigError, match="is not within"):
         sparse._sparsify(x, x.values, SupportSet(indices=indices), target, coefs, method,
                          [model.scores[:, 1]])
+
+
+@pytest.mark.parametrize("method", sparse.METHODS)
+def test_repeated_support_index_is_a_config_error(method):
+    # PSPCA listed column 0 twice with half its coefficient each, and CSPCA
+    # called the support singular
+    x = random_data(np.random.default_rng(9), n=20, p=5)
+    model = fit_pca(x, 2)
+    target, coefs = model.scores[:, 0], model.v[:, 0]
+    for indices in ((0, 0, 2), (3, 1, 3)):
+        with pytest.raises(ConfigError, match="repeats an index"):
+            sparse._sparsify(x, x.values, SupportSet(indices=indices), target, coefs, method,
+                             [model.scores[:, 1]])
+
+
+@pytest.mark.parametrize("target", [np.inf, -np.inf, np.nan])
+def test_projection_target_must_be_finite(target):
+    # an infinite target gave NaN coefficients
+    x = random_data(np.random.default_rng(10), n=20, p=5)
+    t = fit_pca(x, 1).scores[:, 0]
+    t[4] = target
+    with pytest.raises(NonFiniteInput) as err:
+        project_component(x, SupportSet(indices=(0, 2)), t)
+    assert (err.value.row, err.value.col) == (4, 0)
+    for t in (np.ones(19), None):
+        with pytest.raises(ConfigError, match="does not match the 20 rows"):
+            project_component(x, SupportSet(indices=(0, 2)), t)
 
 
 @pytest.mark.parametrize("with_q", [False, True])
